@@ -48,7 +48,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     cache_lookups = cache_hits + counters.get("preprocess.cache.miss", 0)
     if cache_lookups:
         print(
-            f"feature cache: {cache_hits / cache_lookups * 100:.1f}% hit rate "
+            f"page cache: {cache_hits / cache_lookups * 100:.1f}% hit rate "
             f"({cache_lookups} lookups); "
             f"classify batches: {counters.get('classify.batch.calls', 0)} calls / "
             f"{counters.get('classify.batch.rows', 0)} rows"
@@ -212,9 +212,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     print(f"degraded fraction  "
           f"{payload['admission']['degraded_fraction'] * 100:.1f}%")
     print(f"mean batch size    {payload['batching']['mean_batch_size']:.1f}")
-    feature_cache = payload["feature_cache"]
-    print(f"feature cache      {feature_cache['hit_rate'] * 100:5.1f}% hit "
-          f"({feature_cache['hits']} hits / {feature_cache['misses']} misses)")
+    page_cache = payload["page_cache"]
+    print(f"page cache         {page_cache['hit_rate'] * 100:5.1f}% hit "
+          f"({page_cache['hits']} hits / {page_cache['misses']} misses)")
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

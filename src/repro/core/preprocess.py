@@ -4,20 +4,21 @@ Stores a full snapshot of each streamed website (source + rendered
 signature, the stand-in for a screenshot) and extracts the classifier's
 feature set. Unreachable URLs are dropped, mirroring the real pipeline.
 
-Re-observations are memoized: each processed page is cached under its
-:func:`~repro.core.features.snapshot_key` content hash, so observing a URL
-whose markup has not changed (the monitor re-checks every tracked URL for
-days) skips HTML parsing and feature extraction entirely. The cache is a
-bounded LRU; a page whose markup changed — or that became unreachable —
-never hits it, because the cheap ``fetch`` runs first and the key covers
-the fetched markup. See ``docs/PERFORMANCE.md``.
+Processed pages are kept in one bounded LRU page cache under
+:func:`snapshot_key`. It exists for the serving layer: ``VerdictService``
+re-checks a page once its negative verdict expires or a feed or takedown
+invalidates it, and an unchanged page is then answered without a second
+snapshot and featurization. The campaign never processes a URL twice, so
+there it only misses. A page whose markup changed, or that became
+unreachable, never hits the cache, because the cheap ``fetch`` runs first
+and the key covers the fetched markup. See ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -26,13 +27,20 @@ from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
 from ..simnet.browser import Browser, PageSnapshot
 from ..simnet.url import URL
 from ..simnet.web import Web
-from .features import (
-    DEFAULT_FEATURE_CACHE_SIZE,
-    FWB_FEATURE_NAMES,
-    FeatureExtractor,
-    PageFeatures,
-    snapshot_key,
-)
+from .features import FWB_FEATURE_NAMES, FeatureExtractor, PageFeatures
+
+#: Capacity of the page cache, in processed pages.
+PAGE_CACHE_SIZE = 2048
+
+
+def snapshot_key(url: Union[URL, str], markup: str) -> Tuple[str, str]:
+    """Page-cache key identifying one observed page version.
+
+    The **only** sanctioned producer of page-cache keys (reprolint RP304).
+    Keys compare by equality on the full markup, so a re-observation whose
+    markup changed in any way misses the cache and is re-featurized.
+    """
+    return (str(url), markup)
 
 
 @dataclass
@@ -89,39 +97,22 @@ class Preprocessor:
         self,
         web: Web,
         browser: Optional[Browser] = None,
-        extractor: Optional[FeatureExtractor] = None,
         instrumentation: Optional[Instrumentation] = None,
-        cache_size: int = DEFAULT_FEATURE_CACHE_SIZE,
     ) -> None:
         self.web = web
         self.browser = browser if browser is not None else Browser(web)
-        self._instr = (
-            instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
-        )
-        self.extractor = (
-            extractor
-            if extractor is not None
-            else FeatureExtractor(instrumentation=self._instr)
-        )
-        #: Snapshot archive, as the paper stores full website snapshots.
-        #: Only populated by ``keep=True`` calls — never by the cache.
-        self.archive: List[ProcessedPage] = []
-        self.cache_size = cache_size
-        self._page_cache: "OrderedDict[str, ProcessedPage]" = OrderedDict()
-        self._c_hit = self._instr.counter("preprocess.cache.hit")
-        self._c_miss = self._instr.counter("preprocess.cache.miss")
-        self._c_evicted = self._instr.counter("preprocess.cache.evicted")
+        self.extractor = FeatureExtractor()
+        instr = instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
+        self._page_cache: "OrderedDict[Tuple[str, str], ProcessedPage]" = OrderedDict()
+        self._c_hit = instr.counter("preprocess.cache.hit")
+        self._c_miss = instr.counter("preprocess.cache.miss")
+        self._c_evicted = instr.counter("preprocess.cache.evicted")
 
-    @property
-    def cache_len(self) -> int:
-        """Number of processed pages currently memoized."""
-        return len(self._page_cache)
-
-    def process(self, url: URL, now: int, keep: bool = True) -> Optional[ProcessedPage]:
+    def process(self, url: URL, now: int) -> Optional[ProcessedPage]:
         """Snapshot and featurize one URL; ``None`` if it cannot be fetched.
 
         Fetch-first fast path: the markup fetch is cheap, so it runs
-        first; if the fetched content hashes to an already-processed page,
+        first; if the fetched markup matches an already-processed page,
         the cached :class:`ProcessedPage` is returned without re-parsing.
         An unreachable or changed page can therefore never be served
         stale. On a miss the probe's :class:`~repro.simnet.browser.FetchResult`
@@ -129,22 +120,17 @@ class Preprocessor:
         twice.
         """
         try:
-            if self.cache_size > 0:
-                result = self.browser.fetch(url, now)
-                if not result.ok:
-                    # snapshot() raises SiteRemovedError for this status.
-                    return None
-                key = snapshot_key(url, result.markup)
-                cached = self._page_cache.get(key)
-                if cached is not None:
-                    self._page_cache.move_to_end(key)
-                    self._c_hit.inc()
-                    if keep:
-                        self.archive.append(cached)
-                    return cached
-                snapshot = self.browser.snapshot_from(result, now)
-            else:
-                snapshot = self.browser.snapshot(url, now)
+            result = self.browser.fetch(url, now)
+            if not result.ok:
+                # snapshot_from() raises SiteRemovedError for this status.
+                return None
+            key = snapshot_key(url, result.markup)
+            cached = self._page_cache.get(key)
+            if cached is not None:
+                self._page_cache.move_to_end(key)
+                self._c_hit.inc()
+                return cached
+            snapshot = self.browser.snapshot_from(result, now)
         except FetchError:
             return None
         features = self.extractor.extract(url, snapshot)
@@ -155,26 +141,19 @@ class Preprocessor:
             features=features,
             fwb_name=service.name if service is not None else None,
         )
-        if self.cache_size > 0:
-            self._c_miss.inc()
-            self._page_cache[snapshot_key(url, snapshot.markup)] = page
-            while len(self._page_cache) > self.cache_size:
-                self._page_cache.popitem(last=False)
-                self._c_evicted.inc()
-        if keep:
-            self.archive.append(page)
+        self._c_miss.inc()
+        self._page_cache[key] = page
+        while len(self._page_cache) > PAGE_CACHE_SIZE:
+            self._page_cache.popitem(last=False)
+            self._c_evicted.inc()
         return page
 
-    def process_batch(
-        self, urls: List[URL], now: int, keep: bool = False
-    ) -> List[ProcessedPage]:
+    def process_batch(self, urls: List[URL], now: int) -> List[ProcessedPage]:
         """Reachable pages only; see :meth:`process_batch_report` for the
         skip-and-report variant the serving layer uses."""
-        return self.process_batch_report(urls, now, keep=keep).pages
+        return self.process_batch_report(urls, now).pages
 
-    def process_batch_report(
-        self, urls: List[URL], now: int, keep: bool = False
-    ) -> PreprocessBatch:
+    def process_batch_report(self, urls: List[URL], now: int) -> PreprocessBatch:
         """Snapshot and featurize a batch, skipping-and-reporting failures.
 
         One dead URL (taken down mid-batch, or a custom browser raising
@@ -186,7 +165,7 @@ class Preprocessor:
         skipped: List[SkippedURL] = []
         for url in urls:
             try:
-                page = self.process(url, now, keep=keep)
+                page = self.process(url, now)
             except FetchError as exc:
                 # process() shields the snapshot call, but browser
                 # subclasses may raise while resolving iframes/downloads.

@@ -184,7 +184,7 @@ class MicroBatcher:
         """One snapshot pass + one ``predict_proba`` call for the batch."""
         keys = list(unique.keys())
         report = self.preprocessor.process_batch_report(
-            [unique[key] for key in keys], now, keep=False
+            [unique[key] for key in keys], now
         )
         outcomes: Dict[str, "tuple[NavigationVerdict, Optional[float]]"] = {
             cache_key(skip.url): (NavigationVerdict.UNREACHABLE, None)

@@ -101,7 +101,7 @@ def run_serve_bench(
     baseline_pre = Preprocessor(web)
     baseline_start = clock()
     for url in baseline_sample:
-        page = baseline_pre.process(url, 0, keep=False)
+        page = baseline_pre.process(url, 0)
         if page is not None:
             classifier.classify_page(page)
     baseline_elapsed = clock() - baseline_start
@@ -221,7 +221,7 @@ def run_serve_bench(
                 else 0.0
             ),
         },
-        "feature_cache": {
+        "page_cache": {
             "hits": preprocess_hits,
             "misses": preprocess_misses,
             "evicted": counters.get("preprocess.cache.evicted", 0),
@@ -230,8 +230,6 @@ def run_serve_bench(
                 if preprocess_lookups
                 else 0.0
             ),
-            "extractor_hits": counters.get("features.cache.hit", 0),
-            "extractor_misses": counters.get("features.cache.miss", 0),
         },
         "speedup_vs_single_url": (
             served_rps / baseline_rps if baseline_rps > 0 else 0.0

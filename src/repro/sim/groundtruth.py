@@ -88,7 +88,7 @@ def build_ground_truth(
             target.metadata["linked_only"] = True
             spec.target_url = str(target.root_url)
         site = phish_gen.create_site(provider, now=0, rng=rng, spec=spec)
-        page = preprocessor.process(site.root_url, now=10, keep=False)
+        page = preprocessor.process(site.root_url, now=10)
         if page is None:  # pragma: no cover - generated sites are fetchable
             continue
         pages.append(page)
@@ -98,7 +98,7 @@ def build_ground_truth(
     for _ in range(n_per_class):
         provider = providers[int(rng.integers(len(providers)))]
         site = benign_gen.create_fwb_site(provider, now=0, rng=rng)
-        page = preprocessor.process(site.root_url, now=10, keep=False)
+        page = preprocessor.process(site.root_url, now=10)
         if page is None:  # pragma: no cover
             continue
         pages.append(page)

@@ -1,10 +1,10 @@
-"""Snapshot-keyed feature/page caches and the batched classify hand-off.
+"""The page cache and the batched classify hand-off.
 
 Covers the hot-path additions of the performance pass:
 
-* :func:`snapshot_key` — the sanctioned cache-key producer (RP304);
-* the :class:`FeatureExtractor` memo and the :class:`Preprocessor` page
-  cache (hit/miss/evicted counters, LRU bound, keep=False hygiene);
+* :func:`snapshot_key` — the sanctioned page-cache key producer (RP304);
+* the :class:`Preprocessor` page cache (hit/miss/evicted counters, LRU
+  bound and recency, changed markup misses);
 * :meth:`FreePhishClassifier.classify_pages` — one ``predict_proba`` per
   batch, bit-identical to the per-page path;
 * the lazily rendered :class:`PageSnapshot` visual signature.
@@ -14,10 +14,8 @@ import numpy as np
 import pytest
 
 from repro.core import FreePhishClassifier, Preprocessor
-from repro.core.features import (
-    FeatureExtractor,
-    snapshot_key,
-)
+from repro.core import preprocess
+from repro.core.preprocess import snapshot_key
 from repro.ml import RandomForestClassifier
 from repro.obs import Instrumentation
 from repro.simnet.url import parse_url
@@ -32,11 +30,6 @@ class TestSnapshotKey:
     def test_deterministic(self):
         assert snapshot_key(URL_A, MARKUP) == snapshot_key(URL_A, MARKUP)
 
-    def test_prefixed_hex_digest(self):
-        key = snapshot_key(URL_A, MARKUP)
-        assert key.startswith("snap:")
-        assert len(key) == len("snap:") + 64
-
     def test_markup_changes_key(self):
         assert snapshot_key(URL_A, MARKUP) != snapshot_key(URL_A, MARKUP + " ")
 
@@ -45,57 +38,6 @@ class TestSnapshotKey:
 
     def test_accepts_plain_string_url(self):
         assert snapshot_key(str(URL_A), MARKUP) == snapshot_key(URL_A, MARKUP)
-
-
-class TestFeatureExtractorCache:
-    def _counters(self, instr):
-        counters = instr.metrics.snapshot()["counters"]
-        return (
-            counters.get("features.cache.hit", 0),
-            counters.get("features.cache.miss", 0),
-            counters.get("features.cache.evicted", 0),
-        )
-
-    def test_repeat_extraction_hits(self):
-        instr = Instrumentation()
-        extractor = FeatureExtractor(instrumentation=instr)
-        first = extractor.extract(URL_A, MARKUP)
-        second = extractor.extract(URL_A, MARKUP)
-        assert second is first
-        assert self._counters(instr) == (1, 1, 0)
-
-    def test_changed_markup_misses(self):
-        instr = Instrumentation()
-        extractor = FeatureExtractor(instrumentation=instr)
-        extractor.extract(URL_A, MARKUP)
-        extractor.extract(URL_A, MARKUP + "<p>changed</p>")
-        assert self._counters(instr) == (0, 2, 0)
-
-    def test_lru_bound_and_eviction_counter(self):
-        instr = Instrumentation()
-        extractor = FeatureExtractor(cache_size=2, instrumentation=instr)
-        for i in range(4):
-            extractor.extract(URL_A, MARKUP + "x" * i)
-        hits, misses, evicted = self._counters(instr)
-        assert (hits, misses, evicted) == (0, 4, 2)
-
-    def test_lru_recency_order(self):
-        extractor = FeatureExtractor(cache_size=2)
-        a = extractor.extract(URL_A, MARKUP + "a")
-        extractor.extract(URL_A, MARKUP + "b")
-        # Touch "a" so "b" is the eviction victim when "c" arrives.
-        assert extractor.extract(URL_A, MARKUP + "a") is a
-        extractor.extract(URL_A, MARKUP + "c")
-        assert extractor.extract(URL_A, MARKUP + "a") is a  # still cached
-
-    def test_zero_cache_size_disables(self):
-        instr = Instrumentation()
-        extractor = FeatureExtractor(cache_size=0, instrumentation=instr)
-        first = extractor.extract(URL_A, MARKUP)
-        second = extractor.extract(URL_A, MARKUP)
-        assert first is not second
-        assert np.array_equal(first.fwb_vector, second.fwb_vector)
-        assert self._counters(instr) == (0, 0, 0)
 
 
 @pytest.fixture()
@@ -119,53 +61,78 @@ class TestPreprocessorCache:
     def test_reobservation_hits(self, web, live_urls):
         instr = Instrumentation()
         pre = Preprocessor(web, instrumentation=instr)
-        first = pre.process(live_urls[0], now=0, keep=False)
-        second = pre.process(live_urls[0], now=30, keep=False)
+        first = pre.process(live_urls[0], now=0)
+        second = pre.process(live_urls[0], now=30)
         assert second is first
         assert self._counters(instr) == (1, 1, 0)
 
-    def test_keep_false_never_archives(self, web, live_urls):
-        """Regression: discarded observations must not grow internal state."""
-        pre = Preprocessor(web)
-        pre.process(live_urls[0], now=0, keep=False)
-        pre.process(live_urls[0], now=30, keep=False)  # cache-hit path too
-        assert pre.archive == []
-
-    def test_keep_true_archives_even_on_cache_hit(self, web, live_urls):
-        pre = Preprocessor(web)
-        pre.process(live_urls[0], now=0, keep=False)
-        page = pre.process(live_urls[0], now=30, keep=True)
-        assert pre.archive == [page]
-
-    def test_cache_bound_and_evictions(self, web, live_urls):
+    def test_changed_markup_misses(self, web, live_urls):
         instr = Instrumentation()
-        pre = Preprocessor(web, instrumentation=instr, cache_size=2)
+        pre = Preprocessor(web, instrumentation=instr)
+        url = live_urls[0]
+        first = pre.process(url, now=0)
+        site = web.site_for(url)
+        site.add_page(
+            url.path,
+            site.page_for(url).replace(
+                "</body>", "<form><input type='password'></form></body>"
+            ),
+        )
+        second = pre.process(url, now=30)
+        assert second is not first
+        assert self._counters(instr) == (0, 2, 0)
+        assert second.features.values["n_password_fields"] == (
+            first.features.values["n_password_fields"] + 1
+        )
+        fresh = Preprocessor(web).process(url, now=30)
+        assert np.array_equal(second.fwb_vector, fresh.fwb_vector)
+
+    def test_cache_bound_and_evictions(self, web, live_urls, monkeypatch):
+        monkeypatch.setattr(preprocess, "PAGE_CACHE_SIZE", 2)
+        instr = Instrumentation()
+        pre = Preprocessor(web, instrumentation=instr)
         for url in live_urls[:3]:
-            pre.process(url, now=0, keep=False)
-        assert pre.cache_len == 2
+            pre.process(url, now=0)
         assert self._counters(instr) == (0, 3, 1)
+        pre.process(live_urls[0], now=0)  # the evicted, least recent page
+        assert self._counters(instr) == (0, 4, 2)
+
+    def test_lru_bound_and_eviction_counter(self, web, live_urls, monkeypatch):
+        """Each markup revision of one URL is its own entry, LRU-bounded."""
+        monkeypatch.setattr(preprocess, "PAGE_CACHE_SIZE", 2)
+        instr = Instrumentation()
+        pre = Preprocessor(web, instrumentation=instr)
+        url = live_urls[0]
+        site = web.site_for(url)
+        base = site.page_for(url)
+        for i in range(4):
+            site.add_page(url.path, base.replace("</body>", "x" * i + "</body>"))
+            pre.process(url, now=0)
+        assert self._counters(instr) == (0, 4, 2)
+        assert len(pre._page_cache) == 2
+
+    def test_lru_recency_order(self, web, live_urls, monkeypatch):
+        monkeypatch.setattr(preprocess, "PAGE_CACHE_SIZE", 2)
+        pre = Preprocessor(web)
+        a = pre.process(live_urls[0], now=0)
+        pre.process(live_urls[1], now=0)
+        # Touch "a" so "b" is the eviction victim when "c" arrives.
+        assert pre.process(live_urls[0], now=0) is a
+        pre.process(live_urls[2], now=0)
+        assert pre.process(live_urls[0], now=0) is a  # still cached
 
     def test_unreachable_returns_none_without_caching(self, web):
         instr = Instrumentation()
         pre = Preprocessor(web, instrumentation=instr)
         ghost = parse_url("https://ghost.weebly.com/")
-        assert pre.process(ghost, now=0, keep=False) is None
-        assert pre.cache_len == 0
-        assert self._counters(instr) == (0, 0, 0)
-
-    def test_zero_cache_size_disables(self, web, live_urls):
-        instr = Instrumentation()
-        pre = Preprocessor(web, instrumentation=instr, cache_size=0)
-        first = pre.process(live_urls[0], now=0, keep=False)
-        second = pre.process(live_urls[0], now=30, keep=False)
-        assert first is not second
-        assert pre.cache_len == 0
+        assert pre.process(ghost, now=0) is None
+        assert pre.process(ghost, now=30) is None
         assert self._counters(instr) == (0, 0, 0)
 
     def test_cached_page_features_identical(self, web, live_urls):
         pre = Preprocessor(web)
-        first = pre.process(live_urls[1], now=0, keep=False)
-        fresh = Preprocessor(web).process(live_urls[1], now=30, keep=False)
+        first = pre.process(live_urls[1], now=0)
+        fresh = Preprocessor(web).process(live_urls[1], now=30)
         assert np.array_equal(first.fwb_vector, fresh.fwb_vector)
 
 
@@ -273,7 +240,7 @@ class TestFrameworkBatching:
         expected = []
         reference = Preprocessor(web)
         for observation in observations:
-            page = reference.process(observation.url, 10, keep=False)
+            page = reference.process(observation.url, 10)
             prediction = classifier.classify_page(page)
             if prediction.label == 1:
                 expected.append((str(observation.url), prediction.probability))

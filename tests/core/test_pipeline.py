@@ -30,7 +30,8 @@ class TestPreprocessor:
         assert page is not None
         assert page.fwb_name == "weebly"
         assert page.fwb_vector.shape == (20,)
-        assert len(pre.archive) == 1
+        assert page.snapshot.url == site.root_url
+        assert page.snapshot.markup
 
     def test_unreachable_returns_none(self, web):
         pre = Preprocessor(web)
