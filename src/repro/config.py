@@ -93,11 +93,6 @@ class SeedBank:
         return _stable_hash(f"{self.seed}:{name}") % (2 ** 31)
 
 
-#: Backwards-compatible alias: the class was named RngFactory before the
-#: named-integer-seed API landed.
-RngFactory = SeedBank
-
-
 def minutes_to_hhmm(minutes: float) -> str:
     """Render a duration in minutes as the paper's ``hh:mm`` table format.
 

@@ -24,7 +24,7 @@ map that score to (detect?, delay) outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
@@ -142,32 +142,31 @@ def gather_intel(web: Web, browser: Browser, url: URL, now: int) -> UrlIntel:
                     break
 
     title = document.title.lower()
-    host_and_path = (url.host + url.path).lower()
     # Crude but effective: a sign-in title naming an organization whose
     # name does not appear in the serving host.
     if ("sign in" in title or "login" in title) and title:
         head_token = title.split()[0].strip(".,-")
         if len(head_token) >= 4 and head_token not in url.registered_domain:
             intel.brand_title_mismatch = True
-    _ = host_and_path
     return intel
 
 
-def suspicion_score(
-    intel: UrlIntel, weights: Optional[Dict[str, float]] = None
-) -> float:
-    """Fold intel signals into a suspicion score in [0, 1].
+#: Rate of the soft saturation that maps the weighted signal sum into [0, 1).
+SATURATION_RATE = 1.35
 
-    Unreachable URLs score 0 (nothing to analyse). The score is linear in
-    the weighted signals, shifted by a small base rate and clipped.
+
+def signal_sum(intel: UrlIntel, weights: Mapping[str, Any]) -> Any:
+    """The weighted signal sum behind :func:`suspicion_score`, unsaturated.
+
+    ``weights`` maps each weight name to a float, or to a numpy column with
+    one weight per scorer. A column mapping scores every scorer at once,
+    adding the same terms in the same order, so each entry of the result is
+    bit-identical to the float sum under that scorer's own weights.
     """
-    w = DEFAULT_WEIGHTS if weights is None else weights
 
-    def weight(name: str) -> float:
-        return w.get(name, 0.0)
+    def weight(name: str) -> Any:
+        return weights.get(name, 0.0)
 
-    if not intel.reachable:
-        return 0.0
     score = 0.05  # base prior: the URL arrived via an abuse-prone channel
     age = intel.domain_age_days
     if age is not None:
@@ -204,11 +203,25 @@ def suspicion_score(
         score += weight("linkout_button")
     if intel.hidden_elements:
         score += weight("hidden_elements")
+    return score
+
+
+def suspicion_score(
+    intel: UrlIntel, weights: Optional[Dict[str, float]] = None
+) -> float:
+    """Fold intel signals into a suspicion score in [0, 1].
+
+    Unreachable URLs score 0 (nothing to analyse). The score is linear in
+    the weighted signals, shifted by a small base rate and clipped.
+    """
+    if not intel.reachable:
+        return 0.0
+    score = signal_sum(intel, DEFAULT_WEIGHTS if weights is None else weights)
     # Soft saturation: additive evidence has diminishing returns, so a
     # loaded kit lands around 0.8-0.9 rather than pinning the scale.
     if score <= 0.0:
         return 0.0
-    return float(1.0 - np.exp(-1.35 * score))
+    return float(1.0 - np.exp(-SATURATION_RATE * score))
 
 
 class IntelService:

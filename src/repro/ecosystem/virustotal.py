@@ -4,16 +4,22 @@ FreePhish scans every URL through VirusTotal every 10 minutes for up to a
 week (§4.4), counting how many of the 76 engines flag it at each point.
 A scan at time ``t`` reports the engines whose (cached) detection time has
 passed — detections accumulate over the week, producing Figures 7 and 8.
+
+The fleet scores a URL once, at first sight, into one detection-time array
+(:class:`~repro.ecosystem.engines.EngineFleet`); every scan after that is a
+comparison against ``now``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
 from ..simnet.url import URL
-from .engines import DetectionEngine
+from .engines import DetectionEngine, EngineFleet
 from .intel import IntelService, UrlIntel
 
 
@@ -41,11 +47,12 @@ class VirusTotal:
         intel_service: IntelService,
         instrumentation: Optional[Instrumentation] = None,
     ) -> None:
-        self.engines = list(engines)
+        self.fleet = EngineFleet(engines)
         self.intel_service = intel_service
         #: URL -> first time VT ever saw it (engines date latencies from it).
         self._first_seen: Dict[str, int] = {}
-        self._intel_at_first_seen: Dict[str, UrlIntel] = {}
+        #: URL -> every engine's detection time (``NEVER`` if it never flags).
+        self._times: Dict[str, np.ndarray] = {}
         instr = (
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
@@ -54,26 +61,19 @@ class VirusTotal:
 
     @property
     def n_engines(self) -> int:
-        return len(self.engines)
+        return len(self.fleet.engines)
 
-    def _register(self, url: URL, now: int) -> UrlIntel:
+    def _first_sight(self, url: URL, now: int) -> Tuple[UrlIntel, int]:
+        """The URL's intel and time at VT's first sight, registering it now."""
         key = str(url)
-        if key not in self._first_seen:
-            self._first_seen[key] = now
-            self._intel_at_first_seen[key] = self.intel_service.intel_for(url, now)
+        first_seen = self._first_seen.get(key)
+        if first_seen is None:
+            first_seen = self._first_seen[key] = now
             self._c_urls.inc()
-        return self._intel_at_first_seen[key]
+        return self.intel_service.intel_for(url, first_seen), first_seen
 
-    def scan(self, url: URL, now: int) -> ScanReport:
-        """Scan ``url`` and report current engine positives."""
+    def _report(self, url: URL, now: int, positives: List[str]) -> ScanReport:
         self._c_scans.inc()
-        intel = self._register(url, now)
-        first_seen = self._first_seen[str(url)]
-        positives: List[str] = []
-        for engine in self.engines:
-            detects, detection_time = engine.evaluate(intel, first_seen)
-            if detects and detection_time is not None and detection_time <= now:
-                positives.append(engine.name)
         return ScanReport(
             url=url,
             scanned_at=now,
@@ -82,12 +82,26 @@ class VirusTotal:
             engines=positives,
         )
 
-    def detections_at(self, url: URL, now: int) -> int:
-        return self.scan(url, now).positives
+    def scan(self, url: URL, now: int) -> ScanReport:
+        """Scan ``url`` and report current engine positives."""
+        key = str(url)
+        times = self._times.get(key)
+        if times is None:
+            times = self._times[key] = self.fleet.detection_times(
+                *self._first_sight(url, now)
+            )
+        names = self.fleet.names
+        return self._report(url, now, [names[i] for i in np.flatnonzero(times <= now)])
 
-    def final_detections(self, url: URL, horizon: int) -> int:
-        """Detections the URL will have accumulated by ``horizon``."""
-        return self.scan(url, horizon).positives
+    def scan_reference(self, url: URL, now: int) -> ScanReport:
+        """``scan`` as a loop over ``DetectionEngine.evaluate``: its test oracle."""
+        intel, first_seen = self._first_sight(url, now)
+        positives = []
+        for engine in self.fleet.engines:
+            detects, detection_time = engine.evaluate(intel, first_seen)
+            if detects and detection_time is not None and detection_time <= now:
+                positives.append(engine.name)
+        return self._report(url, now, positives)
 
     def scan_file_detections(self, vt_detections: int) -> int:
         """File scans report the payload's precomputed engine count."""
