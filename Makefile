@@ -1,4 +1,4 @@
-.PHONY: install test lint lint-ratchet lint-bench bench classify-bench vt-bench serve-bench telemetry examples all
+.PHONY: install test lint lint-ratchet lint-bench bench classify-bench vt-bench similarity-bench serve-bench telemetry examples all
 
 install:
 	pip install -e . || python setup.py develop
@@ -26,6 +26,10 @@ classify-bench:
 vt-bench:
 	PYTHONPATH=src:benchmarks python -m pytest \
 		benchmarks/bench_vt_scan.py -q -s
+
+similarity-bench:
+	PYTHONPATH=src:benchmarks python -m pytest \
+		benchmarks/bench_similarity.py -q -s
 
 serve-bench:
 	PYTHONPATH=src python -m repro serve-bench --out BENCH_serve.json

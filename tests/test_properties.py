@@ -10,6 +10,7 @@ from repro.ml import DecisionTreeRegressor
 from repro.ml.metrics import accuracy_score, confusion_matrix, f1_score
 from repro.simnet.url import URL, extract_urls, parse_url
 from repro.webdoc import levenshtein, levenshtein_ratio, parse_html
+from repro.webdoc.similarity import _best_match_ratio, levenshtein_reference
 from repro.webdoc.render import render_signature
 
 # -- strategies ---------------------------------------------------------------
@@ -91,15 +92,41 @@ class TestLevenshteinProperties:
     def test_ratio_in_unit_interval(self, a, b):
         assert 0.0 <= levenshtein_ratio(a, b) <= 1.0
 
-    @given(st.text(max_size=40), st.text(max_size=40),
-           st.integers(min_value=0, max_value=10))
-    def test_cutoff_consistent(self, a, b, cutoff):
-        true_distance = levenshtein(a, b)
-        bounded = levenshtein(a, b, cutoff=cutoff)
-        if true_distance <= cutoff:
-            assert bounded == true_distance
-        else:
-            assert bounded > cutoff
+    @given(st.text(max_size=100), st.text(max_size=100))
+    @settings(max_examples=150)
+    def test_matches_dp_reference(self, a, b):
+        assert levenshtein(a, b) == levenshtein_reference(a, b)
+
+    @given(st.text(alphabet="ab<>", max_size=100),
+           st.text(alphabet="ab<>", max_size=100))
+    @settings(max_examples=150)
+    def test_matches_dp_reference_small_alphabet(self, a, b):
+        assert levenshtein(a, b) == levenshtein_reference(a, b)
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 100])
+    def test_matches_dp_reference_at_word_boundaries(self, m):
+        rng = np.random.default_rng(m)
+        for n in (0, 1, m - 1, m, m + 1, 100):
+            for alphabet in ("ab", "abcdefgh<>=\" é漢"):
+                chars = list(alphabet)
+                pattern = "".join(rng.choice(chars, size=m))
+                text = "".join(rng.choice(chars, size=n))
+                assert levenshtein(pattern, text) == levenshtein_reference(pattern, text)
+                assert levenshtein(text, pattern) == levenshtein_reference(text, pattern)
+        assert levenshtein("a" * m, "") == m
+        assert levenshtein("a" * m, "b" * m) == m
+        assert levenshtein("a" * m, "a" * (m - 1) + "b") == 1
+
+    @given(st.text(alphabet="ab<>= d", max_size=30),
+           st.lists(st.text(alphabet="ab<>= d", max_size=30), min_size=1, max_size=12))
+    @settings(max_examples=150)
+    def test_best_match_ratio_is_brute_force_max(self, tag, candidates):
+        lengths = np.asarray([len(c) for c in candidates])
+        brute = max(
+            1.0 - levenshtein_reference(tag, c) / max(len(tag), len(c), 1)
+            for c in candidates
+        )
+        assert _best_match_ratio(tag, candidates, lengths) == brute
 
 
 class TestParserProperties:

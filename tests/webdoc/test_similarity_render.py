@@ -1,5 +1,7 @@
 """Levenshtein/Appendix-A similarity and visual-signature rendering."""
 
+import typing
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.webdoc import (
     website_similarity,
 )
 from repro.webdoc.render import SIGNATURE_DIM, region_signatures
+import repro.webdoc.similarity as similarity
 from repro.webdoc.similarity import median_pairwise_similarity
 
 
@@ -30,6 +33,11 @@ class TestLevenshtein:
 
     def test_symmetry(self):
         assert levenshtein("abcdef", "azced") == levenshtein("azced", "abcdef")
+
+    def test_annotations_resolve(self):
+        for name, value in vars(similarity).items():
+            if callable(value) and getattr(value, "__module__", None) == similarity.__name__:
+                typing.get_type_hints(value)
 
     def test_ratio_bounds(self):
         assert levenshtein_ratio("", "") == 1.0
@@ -68,6 +76,34 @@ class TestWebsiteSimilarity:
         value = median_pairwise_similarity(group, group, rng, max_pairs=5)
         assert value == pytest.approx(1.0)
         assert median_pairwise_similarity([], group, rng) == 0.0
+
+    def test_tag_sequences_equal_pages(self):
+        a = "<html><body><div class='a'>one</div><p>text</p></body></html>"
+        b = "<html><body><span id='z'>different</span></body></html>"
+        assert website_similarity(tag_sequence(a), tag_sequence(b)) == website_similarity(a, b)
+
+    def test_median_pairwise_parses_each_page_once(self, monkeypatch):
+        pages_a = [f"<html><body><p>a{i}</p></body></html>" for i in range(3)]
+        pages_b = [f"<html><body><div>b{i}</div></body></html>" for i in range(2)]
+        parsed = []
+        original = similarity.tag_sequence
+
+        def counting(page):
+            parsed.append(page)
+            return original(page)
+
+        monkeypatch.setattr(similarity, "tag_sequence", counting)
+        value = median_pairwise_similarity(
+            pages_a, pages_b, np.random.default_rng(3), max_pairs=6)
+        monkeypatch.undo()
+        assert len(parsed) == len(set(parsed)) <= len(pages_a) + len(pages_b)
+        # Same rng draws, same pairs, same value as scoring raw markup.
+        rng = np.random.default_rng(3)
+        expected = np.median([
+            website_similarity(pages_a[int(rng.integers(3))], pages_b[int(rng.integers(2))])
+            for _ in range(6)
+        ])
+        assert value == expected
 
 
 class TestVisualSignature:
