@@ -1,4 +1,4 @@
-.PHONY: install test lint lint-ratchet lint-bench bench classify-bench vt-bench similarity-bench serve-bench telemetry examples all
+.PHONY: install test lint lint-ratchet lint-bench bench classify-bench vt-bench similarity-bench visual-bench table2-bench serve-bench telemetry examples all
 
 install:
 	pip install -e . || python setup.py develop
@@ -30,6 +30,14 @@ vt-bench:
 similarity-bench:
 	PYTHONPATH=src:benchmarks python -m pytest \
 		benchmarks/bench_similarity.py -q -s
+
+visual-bench:
+	PYTHONPATH=src:benchmarks python -m pytest \
+		benchmarks/bench_visual.py -q -s
+
+table2-bench:
+	PYTHONPATH=src:benchmarks python -m pytest \
+		benchmarks/bench_table2_model_comparison.py -q -s
 
 serve-bench:
 	PYTHONPATH=src python -m repro serve-bench --out BENCH_serve.json

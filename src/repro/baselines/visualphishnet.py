@@ -28,7 +28,7 @@ from ..errors import NotFittedError
 from ..sitegen.brands import Brand, BrandCatalog, default_brand_catalog
 from ..sitegen.templates import ContentBlock, PageSpec, TemplateLibrary
 from ..webdoc import VisualSignature, render_signature
-from ..webdoc.render import region_signatures
+from ..webdoc.render import SIGNATURE_DIM
 
 
 def _brand_login_markup(brand: Brand, templates: TemplateLibrary,
@@ -51,6 +51,31 @@ def _brand_login_markup(brand: Brand, templates: TemplateLibrary,
     return templates.render(None, spec, rng)
 
 
+def _stack(signatures: Sequence[VisualSignature]) -> np.ndarray:
+    """(n, SIGNATURE_DIM) matrix of the signatures' vectors, one per row."""
+    if not signatures:
+        return np.empty((0, SIGNATURE_DIM))
+    return np.stack([signature.vector for signature in signatures])
+
+
+def pairwise_distances(queries: np.ndarray, profiles: np.ndarray) -> np.ndarray:
+    """(q, m) Euclidean distances, each bit-identical to
+    :meth:`VisualSignature.distance`.
+
+    ``np.linalg.norm`` of a vector is ``sqrt(dot(d, d))``; a stacked
+    ``matmul`` of (1, k) rows by (k, 1) columns runs that same ``dot`` per
+    pair. ``einsum`` and ``(d * d).sum(-1)`` sum in a different order and
+    differ in the last bit on a fifth to a quarter of pairs.
+    """
+    diffs = queries[:, None, :] - profiles[None, :, :]
+    return np.sqrt(np.matmul(diffs[..., None, :], diffs[..., :, None])[..., 0, 0])
+
+
+def _nearest_distances(queries: np.ndarray, profiles: np.ndarray) -> np.ndarray:
+    """Each query's distance to its closest profile; ``inf`` if none."""
+    return pairwise_distances(queries, profiles).min(axis=1, initial=np.inf)
+
+
 class VisualPhishNetDetector:
     """Nearest-brand-profile matcher over visual signatures."""
 
@@ -64,6 +89,11 @@ class VisualPhishNetDetector:
         self._gallery: List[Tuple[str, str, VisualSignature]] = []
         self._benign_refs: List[VisualSignature] = []
         self._phish_refs: List[VisualSignature] = []
+        #: The gallery profiles and reference signatures stacked as rows,
+        #: the operands :meth:`page_margin` scores a page against.
+        self._gallery_matrix = _stack([])
+        self._benign_matrix = _stack([])
+        self._phish_matrix = _stack([])
         #: Reference-set size: the real model's gallery covers a bounded
         #: set of screenshots; small reference pools keep the matcher's
         #: capacity comparable.
@@ -82,6 +112,7 @@ class VisualPhishNetDetector:
             self._gallery.append(
                 (brand.slug, brand.legitimate_domain, render_signature(markup))
             )
+        self._gallery_matrix = _stack([profile for _s, _d, profile in self._gallery])
 
     def _nearest_brand(self, signature: VisualSignature) -> Tuple[str, str, float]:
         """(brand_slug, legit_domain, distance) of the closest profile."""
@@ -138,6 +169,8 @@ class VisualPhishNetDetector:
                 replace=False,
             )
             self._phish_refs = [pages[int(i)].snapshot.signature for i in chosen]
+        self._benign_matrix = _stack(self._benign_refs)
+        self._phish_matrix = _stack(self._phish_refs)
         margins = np.array([self.page_margin(page) for page in pages])
         # Pick the margin threshold maximizing training accuracy.
         candidates = np.unique(np.quantile(margins, np.linspace(0.02, 0.98, 49)))
@@ -157,10 +190,24 @@ class VisualPhishNetDetector:
 
         Multi-region matching: the embedding network scans the whole
         screenshot plus salient crops; this scan dominates inference cost,
-        as in the original model.
+        as in the original model. The page signature and its regions are
+        scored as one matrix against each reference set; the result is
+        bit-identical to :meth:`page_margin_reference`.
         """
+        queries = _stack([page.snapshot.signature, *page.snapshot.regions])
+        brand = np.minimum(
+            _nearest_distances(queries, self._gallery_matrix),
+            _nearest_distances(queries, self._phish_matrix),
+        )
+        if not self._benign_refs:
+            return float(np.max(-brand))
+        return float(np.max(_nearest_distances(queries, self._benign_matrix) - brand))
+
+    def page_margin_reference(self, page: ProcessedPage) -> float:
+        """:meth:`page_margin` one signature and one profile at a time; the
+        test and bench oracle for the stacked path."""
         margins = [self._margin(page.snapshot.signature)]
-        for region in region_signatures(page.snapshot.document, max_regions=12):
+        for region in page.snapshot.regions:
             margins.append(self._margin(region))
         return max(margins)
 

@@ -20,6 +20,7 @@ from typing import List, Optional, Tuple
 
 from ..errors import FetchError, SiteRemovedError, URLError
 from ..webdoc import Document, VisualSignature, parse_html, render_signature
+from ..webdoc.render import region_signatures
 from .hosting import FileAsset, HostedSite
 from .tls import Certificate
 from .url import URL, parse_url
@@ -64,6 +65,10 @@ class PageSnapshot:
     _signature: Optional[VisualSignature] = field(
         default=None, repr=False, compare=False
     )
+    #: Lazily rendered region signatures (see the ``regions`` property).
+    _regions: Optional[List[VisualSignature]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def signature(self) -> VisualSignature:
@@ -76,6 +81,19 @@ class PageSnapshot:
         if self._signature is None:
             self._signature = render_signature(self.document)
         return self._signature
+
+    @property
+    def regions(self) -> List[VisualSignature]:
+        """Signatures of the page's first 12 visual regions.
+
+        ``region_signatures(document, max_regions=12)``, rendered on first
+        access and memoized like :attr:`signature`. VisualPhishNet scores
+        them in training and inference; PhishIntention's fit re-runs that
+        training on the same pages, which then renders nothing new.
+        """
+        if self._regions is None:
+            self._regions = region_signatures(self.document, max_regions=12)
+        return self._regions
 
 
 class Browser:

@@ -1,7 +1,11 @@
 """The four Table-2 comparison detectors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import (
     BaseStackModelDetector,
@@ -9,9 +13,13 @@ from repro.baselines import (
     URLNetDetector,
     VisualPhishNetDetector,
 )
+from repro.baselines.visualphishnet import pairwise_distances
 from repro.errors import NotFittedError
 from repro.ml import train_test_split
 from repro.simnet import Browser
+from repro.simnet.browser import PageSnapshot
+from repro.webdoc import Document, Element, VisualSignature
+from repro.webdoc.render import SIGNATURE_DIM
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +134,107 @@ class TestVisualPhishNet:
     def test_unfitted_raises(self, split):
         with pytest.raises(NotFittedError):
             VisualPhishNetDetector().predict_page(split[2][0])
+
+
+def _margins(detector, pages, reference=False):
+    margin = detector.page_margin_reference if reference else detector.page_margin
+    return np.asarray([margin(page) for page in pages])
+
+
+def _fit_both(detector_kwargs, pages, labels):
+    """One detector fitted through ``page_margin``, one through the
+    per-signature reference."""
+    fast = VisualPhishNetDetector(**detector_kwargs).fit_pages(pages, labels)
+    reference = VisualPhishNetDetector(**detector_kwargs)
+    reference.page_margin = reference.page_margin_reference
+    reference.fit_pages(pages, labels)
+    return fast, reference
+
+
+class TestVisualPhishNetMargins:
+    """The stacked margin path against its per-signature reference."""
+
+    @pytest.mark.parametrize("random_state", [0, 2, 7])
+    def test_page_margin_bit_identical_to_reference(self, ground_truth, random_state):
+        pages, labels = ground_truth.pages, ground_truth.labels
+        fast, reference = _fit_both({"random_state": random_state}, pages, labels)
+        assert fast._threshold == reference._threshold
+        margins = _margins(fast, pages)
+        assert margins.tobytes() == _margins(fast, pages, reference=True).tobytes()
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_single_class_labels(self, ground_truth, label):
+        """No phishing references, or no benign ones (the -brand branch)."""
+        pages = ground_truth.pages[::4]
+        labels = np.full(len(pages), label)
+        fast, reference = _fit_both({"random_state": 3}, pages, labels)
+        assert (fast._benign_refs == []) == (label == 1)
+        assert (fast._phish_refs == []) == (label == 0)
+        assert fast._threshold == reference._threshold
+        margins = _margins(fast, pages)
+        assert margins.tobytes() == _margins(fast, pages, reference=True).tobytes()
+
+    def test_empty_catalog(self, ground_truth):
+        """No gallery: the reference's nearest brand is at ``inf``, and the
+        stacked minimum over an empty axis must give the same."""
+        pages, labels = ground_truth.pages[::4], ground_truth.labels[::4]
+        assert set(labels.tolist()) == {0, 1}
+        # BrandCatalog rejects an empty brand list; any empty iterable works.
+        fast, reference = _fit_both({"catalog": [], "random_state": 3}, pages, labels)
+        assert fast._gallery == [] and fast._gallery_matrix.shape == (0, SIGNATURE_DIM)
+        assert fast._threshold == reference._threshold
+        margins = _margins(fast, pages)
+        assert margins.tobytes() == _margins(fast, pages, reference=True).tobytes()
+        # Benign references only: nothing on the brand side at all.
+        benign_only = VisualPhishNetDetector(catalog=[], random_state=3)
+        # Every training margin is -inf, so the threshold search's
+        # quantiles are NaN; only the margins are under test here.
+        with np.errstate(invalid="ignore"):
+            benign_only.fit_pages(pages, np.zeros(len(pages), dtype=np.int64))
+        margin = benign_only.page_margin(pages[0])
+        assert margin == benign_only.page_margin_reference(pages[0]) == -np.inf
+
+    def test_page_without_regions(self, ground_truth):
+        """A page whose DOM has no qualifying region scores its signature only."""
+        pages, labels = ground_truth.pages, ground_truth.labels
+        detector = VisualPhishNetDetector(random_state=2).fit_pages(pages, labels)
+        bare = dataclasses.replace(
+            pages[0],
+            snapshot=PageSnapshot(
+                url=pages[0].url, fetched_at=0, markup="",
+                document=Document(root=Element("html")), certificate=None,
+            ),
+        )
+        assert bare.snapshot.regions == []
+        assert detector.page_margin(bare) == detector.page_margin_reference(bare)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        exponent=st.integers(-8, 8),
+        n_queries=st.integers(1, 13),
+        n_profiles=st.integers(0, 30),
+    )
+    def test_pairwise_distances_match_signature_distance(
+        self, seed, exponent, n_queries, n_profiles
+    ):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** exponent
+
+        def vectors(n):
+            return rng.normal(size=(n, SIGNATURE_DIM)) * scale * rng.uniform(
+                0.1, 10.0, size=(n, 1)
+            )
+
+        queries, profiles = vectors(n_queries), vectors(n_profiles)
+        distances = pairwise_distances(queries, profiles)
+        expected = np.array(
+            [
+                [VisualSignature(q).distance(VisualSignature(p)) for p in profiles]
+                for q in queries
+            ]
+        ).reshape(n_queries, n_profiles)
+        assert distances.tobytes() == expected.tobytes()
 
 
 class TestPhishIntention:
