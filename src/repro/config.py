@@ -153,9 +153,6 @@ class SimulationConfig:
     def seed_bank(self) -> SeedBank:
         return SeedBank(self.seed)
 
-    #: Backwards-compatible alias for :meth:`seed_bank`.
-    rng_factory = seed_bank
-
     def scaled(self, fraction: float, seed: Optional[int] = None) -> "SimulationConfig":
         """Return a copy with the workload scaled by ``fraction``.
 

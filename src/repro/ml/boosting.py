@@ -5,6 +5,10 @@ regression tree to the negative gradient (residual ``y - p``) and the
 ensemble accumulates ``learning_rate``-scaled tree outputs in log-odds
 space. This is the "GBDT" member of the StackModel's learner trio and the
 final-layer combiner in Li et al.'s architecture.
+
+:class:`BoostedTrees` is the base all three boosted learners share (GBDT
+here, :mod:`repro.ml.xgb`, :mod:`repro.ml.lgbm`): the log-odds start score
+and one inference tail over ``_Node`` trees.
 """
 
 from __future__ import annotations
@@ -15,14 +19,99 @@ import numpy as np
 
 from ..errors import NotFittedError, TrainingError
 from .flat import FlatForest
-from .tree import DecisionTreeRegressor
+from .tree import DecisionTreeRegressor, _Node, route
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
 
 
-class GradientBoostingClassifier:
+class BoostedTrees:
+    """Fitting state and inference shared by GBDT, XGBoost and LightGBM.
+
+    A fitted learner is a log-odds start score plus ``learning_rate``-scaled
+    trees (:class:`~repro.ml.tree._Node` roots). Scores come from the
+    compiled :class:`FlatForest` or, as its oracle, from
+    :func:`~repro.ml.tree.route` per tree; both accumulate in tree order.
+    Subclasses whose trees split a transformed matrix override
+    :meth:`_inputs`.
+    """
+
+    learning_rate: float
+
+    def __init__(self) -> None:
+        self._roots: List[_Node] = []
+        self._base_score = 0.0
+        self._n_features = 0
+        self._flat: Optional[FlatForest] = None
+
+    def _fit_arrays(self, X: np.ndarray, y: np.ndarray):
+        """Validated float training arrays; resets the fitted ensemble."""
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+            raise TrainingError("bad shapes for X/y")
+        if not np.isin(np.unique(y), (0.0, 1.0)).all():
+            raise TrainingError(f"{type(self).__name__} expects binary 0/1 labels")
+        self._n_features = X.shape[1]
+        self._roots = []
+        self._flat = None
+        return X, y
+
+    def _start_scores(self, y: np.ndarray) -> np.ndarray:
+        """Set the base score to the log-odds of ``y`` and broadcast it."""
+        positive = min(max(float(y.mean()), 1e-6), 1 - 1e-6)
+        self._base_score = float(np.log(positive / (1.0 - positive)))
+        return np.full(y.shape[0], self._base_score)
+
+    def _inputs(self, X: np.ndarray) -> np.ndarray:
+        """The matrix the trees split on."""
+        return X
+
+    def _rows(self, X: np.ndarray) -> np.ndarray:
+        """``X`` checked against the training width, as the trees see it."""
+        if not self._roots:
+            raise NotFittedError(f"{type(self).__name__} is not fitted")
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self._n_features:
+            raise TrainingError(
+                f"expected {self._n_features} features, got shape {X.shape}"
+            )
+        return self._inputs(X)
+
+    def _compiled(self) -> FlatForest:
+        """The flattened ensemble, compiled lazily after ``fit``."""
+        if self._flat is None:
+            self._flat = FlatForest.from_trees(
+                self._roots, n_features=self._n_features
+            )
+        return self._flat
+
+    def decision_function(self, X: np.ndarray) -> np.ndarray:
+        X = self._rows(X)
+        return self._compiled().accumulate(X, self._base_score, self.learning_rate)
+
+    def decision_function_reference(self, X: np.ndarray) -> np.ndarray:
+        """Per-row reference walk; bit-identical to :meth:`decision_function`."""
+        X = self._rows(X)
+        raw = np.full(X.shape[0], self._base_score)
+        for root in self._roots:
+            raw += self.learning_rate * route(root, X)
+        return raw
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        p = _sigmoid(self.decision_function(X))
+        return np.column_stack([1.0 - p, p])
+
+    def predict_proba_reference(self, X: np.ndarray) -> np.ndarray:
+        p = _sigmoid(self.decision_function_reference(X))
+        return np.column_stack([1.0 - p, p])
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return (self.decision_function(X) >= 0.0).astype(np.int64)
+
+
+class GradientBoostingClassifier(BoostedTrees):
     """Binary GBDT with logistic loss.
 
     Parameters mirror the conventional implementation: ``n_estimators``
@@ -56,6 +145,7 @@ class GradientBoostingClassifier:
             raise TrainingError("early_stopping_rounds must be positive")
         if not 0.0 < validation_fraction < 1.0:
             raise TrainingError("validation_fraction must lie in (0, 1)")
+        super().__init__()
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -64,22 +154,11 @@ class GradientBoostingClassifier:
         self.random_state = random_state
         self.early_stopping_rounds = early_stopping_rounds
         self.validation_fraction = validation_fraction
-        self._trees: List[DecisionTreeRegressor] = []
-        self._base_score = 0.0
-        self._n_features = 0
-        self._flat: Optional[FlatForest] = None
         #: Per-stage validation log-loss when early stopping is active.
         self.validation_curve: List[float] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostingClassifier":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-            raise TrainingError("bad shapes for X/y")
-        if not np.isin(np.unique(y), (0.0, 1.0)).all():
-            raise TrainingError("GradientBoostingClassifier expects binary 0/1 labels")
-        self._n_features = X.shape[1]
-        self._flat = None
+        X, y = self._fit_arrays(X, y)
         rng = np.random.default_rng(self.random_state)
 
         validation_X = validation_y = None
@@ -92,11 +171,7 @@ class GradientBoostingClassifier:
             validation_X, validation_y = X[validation_idx], y[validation_idx]
             X, y = X[train_idx], y[train_idx]
 
-        positive = float(y.mean())
-        positive = min(max(positive, 1e-6), 1 - 1e-6)
-        self._base_score = float(np.log(positive / (1.0 - positive)))
-        raw = np.full(y.shape[0], self._base_score)
-        self._trees = []
+        raw = self._start_scores(y)
         self.validation_curve = []
 
         validation_raw = (
@@ -122,7 +197,7 @@ class GradientBoostingClassifier:
             )
             tree.fit(X[indices], residual[indices])
             raw = raw + self.learning_rate * tree.predict(X)
-            self._trees.append(tree)
+            self._roots.append(tree._root)
 
             if validation_raw is not None:
                 validation_raw = (
@@ -138,46 +213,10 @@ class GradientBoostingClassifier:
                     best_loss = loss
                     best_stage = stage
                 elif stage - best_stage >= self.early_stopping_rounds:
-                    self._trees = self._trees[: best_stage + 1]
+                    self._roots = self._roots[: best_stage + 1]
                     break
         return self
 
-    def _compiled(self) -> FlatForest:
-        """The flattened ensemble, compiled lazily after ``fit``."""
-        if self._flat is None:
-            self._flat = FlatForest.from_trees(
-                [tree._root for tree in self._trees],
-                n_features=self._n_features,
-            )
-        return self._flat
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        if not self._trees:
-            raise NotFittedError("GradientBoostingClassifier is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        return self._compiled().accumulate(X, self._base_score, self.learning_rate)
-
-    def decision_function_reference(self, X: np.ndarray) -> np.ndarray:
-        """Per-row reference walk; bit-identical to :meth:`decision_function`."""
-        if not self._trees:
-            raise NotFittedError("GradientBoostingClassifier is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        raw = np.full(X.shape[0], self._base_score)
-        for tree in self._trees:
-            raw += self.learning_rate * tree.predict(X)
-        return raw
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        p = _sigmoid(self.decision_function(X))
-        return np.column_stack([1.0 - p, p])
-
-    def predict_proba_reference(self, X: np.ndarray) -> np.ndarray:
-        p = _sigmoid(self.decision_function_reference(X))
-        return np.column_stack([1.0 - p, p])
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_function(X) >= 0.0).astype(np.int64)
-
     @property
     def n_fitted_trees(self) -> int:
-        return len(self._trees)
+        return len(self._roots)

@@ -26,8 +26,10 @@ The flat path must be **bit-identical** to the per-row reference walk:
   (``raw += lr * tree_t`` for t = 0, 1, ...) — never a pairwise
   ``values.sum(axis=0)``, which would change floating-point results.
 
-The compiler accepts any node shape used in this package: ``tree._Node``,
-``xgb._XGBNode`` (``threshold``) and ``lgbm._Leaf`` (``threshold_bin``).
+Every tree in this package is built from ``tree._Node``, and its reference
+walk is :func:`repro.ml.tree.route`. LightGBM's trees carry a bin index in
+``threshold``; small integers are exact in float64, so the flat comparison
+on binned features matches the reference's.
 """
 
 from __future__ import annotations
@@ -37,20 +39,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..errors import TrainingError
-
-
-def _node_threshold(node) -> float:
-    """Split threshold for an internal node of any supported shape.
-
-    LightGBM's pre-binned ``_Leaf`` nodes carry an integer ``threshold_bin``
-    instead of a raw-space ``threshold``; small bin indices are exact in
-    float64, so ``binned <= threshold`` compares identically to the
-    reference's integer comparison.
-    """
-    threshold = getattr(node, "threshold", None)
-    if threshold is not None:
-        return float(threshold)
-    return float(node.threshold_bin)
 
 
 class FlatForest:
@@ -97,12 +85,7 @@ class FlatForest:
     def from_trees(
         cls, tree_roots: Sequence[object], n_features: Optional[int] = None
     ) -> "FlatForest":
-        """Compile a list of fitted tree root nodes into one flat forest.
-
-        Supports every node shape in this package: leaves are detected via
-        ``left is None``; internal thresholds come from ``threshold`` or,
-        for pre-binned LightGBM trees, ``threshold_bin``.
-        """
+        """Compile a list of fitted ``_Node`` tree roots into one flat forest."""
         if not tree_roots:
             raise TrainingError("cannot flatten an empty ensemble")
         features: List[int] = []
@@ -137,7 +120,7 @@ class FlatForest:
                     values.append(float(node.value))
                     continue
                 features.append(int(node.feature))
-                thresholds.append(_node_threshold(node))
+                thresholds.append(float(node.threshold))
                 lefts.append(-1)
                 rights.append(-1)
                 values.append(float(node.value))

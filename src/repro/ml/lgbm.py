@@ -15,17 +15,13 @@ The two signature LightGBM techniques reproduced here:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import NotFittedError, TrainingError
-from .flat import FlatForest
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
+from ..errors import TrainingError
+from .boosting import BoostedTrees, _sigmoid
+from .tree import _Node, route
 
 
 class _Binner:
@@ -61,21 +57,6 @@ class _Binner:
         return float(edges[bin_index])
 
 
-@dataclass
-class _Leaf:
-    indices: np.ndarray
-    value: float
-    # Set when the leaf is split:
-    feature: int = -1
-    threshold_bin: int = -1
-    left: Optional["_Leaf"] = None
-    right: Optional["_Leaf"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
 class _LGBMTree:
     """One leaf-wise-grown tree over pre-binned features."""
 
@@ -90,7 +71,7 @@ class _LGBMTree:
         self.min_data_in_leaf = min_data_in_leaf
         self.reg_lambda = reg_lambda
         self.min_gain = min_gain
-        self.root: Optional[_Leaf] = None
+        self.root: Optional[_Node] = None
 
     def _leaf_value(self, grad_sum: float, hess_sum: float) -> float:
         return -grad_sum / (hess_sum + self.reg_lambda)
@@ -140,65 +121,39 @@ class _LGBMTree:
         return best
 
     def fit(self, binned: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> None:
-        all_indices = np.arange(binned.shape[0])
-        self.root = _Leaf(
-            indices=all_indices,
-            value=self._leaf_value(grad.sum(), hess.sum()),
-        )
+        self.root = _Node(value=self._leaf_value(grad.sum(), hess.sum()))
         # Max-heap of candidate splits, keyed by -gain; tie-break by counter.
-        heap: List[Tuple[float, int, _Leaf, tuple]] = []
+        # Each entry's split carries its children's row indices, so the
+        # nodes themselves never hold training data.
+        heap: List[Tuple[float, int, _Node, tuple]] = []
         counter = 0
 
-        def push(leaf: _Leaf) -> None:
+        def push(node: _Node, indices: np.ndarray) -> None:
             nonlocal counter
-            split = self._best_split(binned, grad, hess, leaf.indices)
+            split = self._best_split(binned, grad, hess, indices)
             if split is not None:
-                heapq.heappush(heap, (-split[0], counter, leaf, split))
+                heapq.heappush(heap, (-split[0], counter, node, split))
                 counter += 1
 
-        push(self.root)
+        push(self.root, np.arange(binned.shape[0]))
         n_leaves = 1
         while heap and n_leaves < self.num_leaves:
-            _neg_gain, _tie, leaf, split = heapq.heappop(heap)
+            _neg_gain, _tie, node, split = heapq.heappop(heap)
             _gain, feature, bin_idx, left_idx, right_idx = split
-            leaf.feature = feature
-            leaf.threshold_bin = bin_idx
-            leaf.left = _Leaf(
-                indices=left_idx,
-                value=self._leaf_value(grad[left_idx].sum(), hess[left_idx].sum()),
+            node.feature = feature
+            node.threshold = float(bin_idx)
+            node.left = _Node(
+                value=self._leaf_value(grad[left_idx].sum(), hess[left_idx].sum())
             )
-            leaf.right = _Leaf(
-                indices=right_idx,
-                value=self._leaf_value(grad[right_idx].sum(), hess[right_idx].sum()),
+            node.right = _Node(
+                value=self._leaf_value(grad[right_idx].sum(), hess[right_idx].sum())
             )
             n_leaves += 1
-            push(leaf.left)
-            push(leaf.right)
-        # Free training index arrays; prediction does not need them.
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            node.indices = np.empty(0, dtype=np.int64)
-            if not node.is_leaf:
-                stack.extend((node.left, node.right))
-
-    def predict_binned(self, binned: np.ndarray) -> np.ndarray:
-        out = np.empty(binned.shape[0], dtype=np.float64)
-        stack = [(self.root, np.arange(binned.shape[0]))]
-        while stack:
-            node, indices = stack.pop()
-            if node is None or indices.size == 0:
-                continue
-            if node.is_leaf:
-                out[indices] = node.value
-                continue
-            mask = binned[indices, node.feature] <= node.threshold_bin
-            stack.append((node.left, indices[mask]))
-            stack.append((node.right, indices[~mask]))
-        return out
+            push(node.left, left_idx)
+            push(node.right, right_idx)
 
 
-class LightGBMClassifier:
+class LightGBMClassifier(BoostedTrees):
     """Binary classifier with histogram-binned, leaf-wise boosting."""
 
     def __init__(
@@ -218,6 +173,7 @@ class LightGBMClassifier:
             raise TrainingError("num_leaves must be at least 2")
         if max_bins < 2:
             raise TrainingError("max_bins must be at least 2")
+        super().__init__()
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.num_leaves = num_leaves
@@ -227,25 +183,12 @@ class LightGBMClassifier:
         self.min_gain = min_gain
         self.random_state = random_state
         self._binner: Optional[_Binner] = None
-        self._trees: List[_LGBMTree] = []
-        self._base_score = 0.0
-        self._flat: Optional[FlatForest] = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LightGBMClassifier":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2 or y.shape[0] != X.shape[0]:
-            raise TrainingError("bad shapes for X/y")
-        if not np.isin(np.unique(y), (0.0, 1.0)).all():
-            raise TrainingError("LightGBMClassifier expects binary 0/1 labels")
-
-        self._flat = None
+        X, y = self._fit_arrays(X, y)
         self._binner = _Binner(self.max_bins).fit(X)
         binned = self._binner.transform(X)
-        positive = min(max(float(y.mean()), 1e-6), 1 - 1e-6)
-        self._base_score = float(np.log(positive / (1.0 - positive)))
-        raw = np.full(y.shape[0], self._base_score)
-        self._trees = []
+        raw = self._start_scores(y)
         for _ in range(self.n_estimators):
             probabilities = _sigmoid(raw)
             grad = probabilities - y
@@ -257,49 +200,11 @@ class LightGBMClassifier:
                 min_gain=self.min_gain,
             )
             tree.fit(binned, grad, hess)
-            raw = raw + self.learning_rate * tree.predict_binned(binned)
-            self._trees.append(tree)
+            raw = raw + self.learning_rate * route(tree.root, binned)
+            self._roots.append(tree.root)
         return self
 
-    def _compiled(self) -> FlatForest:
-        """The flattened ensemble over *binned* features, compiled lazily.
-
-        Thresholds are the trees' integer ``threshold_bin`` values; bin
-        indices are far below 2**53, so comparing them as float64 is exact.
-        """
-        if self._flat is None:
-            self._flat = FlatForest.from_trees(
-                [tree.root for tree in self._trees]
-            )
-        return self._flat
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        if not self._trees or self._binner is None:
-            raise NotFittedError("LightGBMClassifier is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        binned = self._binner.transform(X)
-        return self._compiled().accumulate(
-            binned, self._base_score, self.learning_rate
-        )
-
-    def decision_function_reference(self, X: np.ndarray) -> np.ndarray:
-        """Per-row reference walk; bit-identical to :meth:`decision_function`."""
-        if not self._trees or self._binner is None:
-            raise NotFittedError("LightGBMClassifier is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        binned = self._binner.transform(X)
-        raw = np.full(X.shape[0], self._base_score)
-        for tree in self._trees:
-            raw += self.learning_rate * tree.predict_binned(binned)
-        return raw
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        p = _sigmoid(self.decision_function(X))
-        return np.column_stack([1.0 - p, p])
-
-    def predict_proba_reference(self, X: np.ndarray) -> np.ndarray:
-        p = _sigmoid(self.decision_function_reference(X))
-        return np.column_stack([1.0 - p, p])
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_function(X) >= 0.0).astype(np.int64)
+    def _inputs(self, X: np.ndarray) -> np.ndarray:
+        """The trees split binned features; bin indices are far below 2**53,
+        so comparing them with float64 thresholds is exact."""
+        return self._binner.transform(X)

@@ -5,6 +5,11 @@ this package: gradient boosting fits regression trees to pseudo-residuals.
 Splits are exact greedy — each feature column is sorted once per node and
 the SSE-minimizing threshold found via cumulative sums — which is fast
 enough for the study's workloads (thousands of samples, ~20 features).
+
+:class:`_Node` and :func:`route` serve every tree in the package: the
+XGBoost and LightGBM growers build ``_Node`` trees too, and :func:`route` is
+the one per-row reference walk that the flat inference path is checked
+against.
 """
 
 from __future__ import annotations
@@ -19,7 +24,11 @@ from ..errors import NotFittedError, TrainingError
 
 @dataclass
 class _Node:
-    """One tree node; leaves carry ``value``, internal nodes a split."""
+    """One tree node; leaves carry ``value``, internal nodes a split.
+
+    LightGBM's trees split pre-binned features, so their ``threshold`` is a
+    bin index (exact in float64).
+    """
 
     value: float = 0.0
     feature: int = -1
@@ -30,6 +39,29 @@ class _Node:
     @property
     def is_leaf(self) -> bool:
         return self.left is None
+
+
+def route(root: _Node, X: np.ndarray) -> np.ndarray:
+    """Leaf value of one tree for every row of ``X``: the reference walk.
+
+    Routes index partitions down the tree iteratively (no per-row
+    recursion); ``x <= threshold`` goes left and NaN goes right. Every
+    learner in this package predicts through it or through
+    :class:`~repro.ml.flat.FlatForest`, which must match it bit for bit.
+    """
+    out = np.empty(X.shape[0], dtype=np.float64)
+    stack = [(root, np.arange(X.shape[0]))]
+    while stack:
+        node, indices = stack.pop()
+        if indices.size == 0:
+            continue
+        if node.is_leaf:
+            out[indices] = node.value
+            continue
+        mask = X[indices, node.feature] <= node.threshold
+        stack.append((node.left, indices[mask]))
+        stack.append((node.right, indices[~mask]))
+    return out
 
 
 def _validate_xy(X: np.ndarray, y: np.ndarray) -> None:
@@ -168,20 +200,7 @@ class DecisionTreeRegressor:
             raise TrainingError(
                 f"expected {self._n_features} features, got shape {X.shape}"
             )
-        out = np.empty(X.shape[0], dtype=np.float64)
-        # Iterative node routing over index partitions: no per-row recursion.
-        stack = [(self._root, np.arange(X.shape[0]))]
-        while stack:
-            node, indices = stack.pop()
-            if indices.size == 0:
-                continue
-            if node.is_leaf:
-                out[indices] = node.value
-                continue
-            mask = X[indices, node.feature] <= node.threshold
-            stack.append((node.left, indices[mask]))
-            stack.append((node.right, indices[~mask]))
-        return out
+        return route(self._root, X)
 
     @property
     def depth(self) -> int:

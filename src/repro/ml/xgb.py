@@ -11,30 +11,13 @@ Differences from classic GBDT that this implementation reproduces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..errors import NotFittedError, TrainingError
-from .flat import FlatForest
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
-
-
-@dataclass
-class _XGBNode:
-    value: float = 0.0
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["_XGBNode"] = None
-    right: Optional["_XGBNode"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+from ..errors import TrainingError
+from .boosting import BoostedTrees, _sigmoid
+from .tree import _Node, route
 
 
 class _XGBTree:
@@ -55,7 +38,7 @@ class _XGBTree:
         self.gamma = gamma
         self.colsample = colsample
         self.rng = rng
-        self.root: Optional[_XGBNode] = None
+        self.root: Optional[_Node] = None
 
     def fit(self, X: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> None:
         n_features = X.shape[1]
@@ -77,10 +60,10 @@ class _XGBTree:
         hess: np.ndarray,
         depth: int,
         columns: np.ndarray,
-    ) -> _XGBNode:
+    ) -> _Node:
         g_total = grad.sum()
         h_total = hess.sum()
-        node = _XGBNode(value=self._leaf_value(g_total, h_total))
+        node = _Node(value=self._leaf_value(g_total, h_total))
         if depth >= self.max_depth or X.shape[0] < 2:
             return node
 
@@ -119,23 +102,8 @@ class _XGBTree:
         node.right = self._grow(X[~mask], grad[~mask], hess[~mask], depth + 1, columns)
         return node
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0], dtype=np.float64)
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            node, indices = stack.pop()
-            if node is None or indices.size == 0:
-                continue
-            if node.is_leaf:
-                out[indices] = node.value
-                continue
-            mask = X[indices, node.feature] <= node.threshold
-            stack.append((node.left, indices[mask]))
-            stack.append((node.right, indices[~mask]))
-        return out
 
-
-class XGBoostClassifier:
+class XGBoostClassifier(BoostedTrees):
     """Binary classifier with XGBoost-style regularized boosting."""
 
     def __init__(
@@ -158,6 +126,7 @@ class XGBoostClassifier:
             raise TrainingError("subsample/colsample_bytree must lie in (0, 1]")
         if reg_lambda < 0 or gamma < 0:
             raise TrainingError("reg_lambda and gamma cannot be negative")
+        super().__init__()
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -167,26 +136,11 @@ class XGBoostClassifier:
         self.subsample = subsample
         self.colsample_bytree = colsample_bytree
         self.random_state = random_state
-        self._trees: List[_XGBTree] = []
-        self._base_score = 0.0
-        self._n_features = 0
-        self._flat: Optional[FlatForest] = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "XGBoostClassifier":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2 or y.shape[0] != X.shape[0]:
-            raise TrainingError("bad shapes for X/y")
-        if not np.isin(np.unique(y), (0.0, 1.0)).all():
-            raise TrainingError("XGBoostClassifier expects binary 0/1 labels")
-        self._n_features = X.shape[1]
-        self._flat = None
+        X, y = self._fit_arrays(X, y)
         rng = np.random.default_rng(self.random_state)
-
-        positive = min(max(float(y.mean()), 1e-6), 1 - 1e-6)
-        self._base_score = float(np.log(positive / (1.0 - positive)))
-        raw = np.full(y.shape[0], self._base_score)
-        self._trees = []
+        raw = self._start_scores(y)
         n = y.shape[0]
         sample_size = max(1, int(round(self.subsample * n)))
 
@@ -207,42 +161,6 @@ class XGBoostClassifier:
                 rng=rng,
             )
             tree.fit(X[indices], grad[indices], hess[indices])
-            raw = raw + self.learning_rate * tree.predict(X)
-            self._trees.append(tree)
+            raw = raw + self.learning_rate * route(tree.root, X)
+            self._roots.append(tree.root)
         return self
-
-    def _compiled(self) -> FlatForest:
-        """The flattened ensemble, compiled lazily after ``fit``."""
-        if self._flat is None:
-            self._flat = FlatForest.from_trees(
-                [tree.root for tree in self._trees],
-                n_features=self._n_features,
-            )
-        return self._flat
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        if not self._trees:
-            raise NotFittedError("XGBoostClassifier is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        return self._compiled().accumulate(X, self._base_score, self.learning_rate)
-
-    def decision_function_reference(self, X: np.ndarray) -> np.ndarray:
-        """Per-row reference walk; bit-identical to :meth:`decision_function`."""
-        if not self._trees:
-            raise NotFittedError("XGBoostClassifier is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        raw = np.full(X.shape[0], self._base_score)
-        for tree in self._trees:
-            raw += self.learning_rate * tree.predict(X)
-        return raw
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        p = _sigmoid(self.decision_function(X))
-        return np.column_stack([1.0 - p, p])
-
-    def predict_proba_reference(self, X: np.ndarray) -> np.ndarray:
-        p = _sigmoid(self.decision_function_reference(X))
-        return np.column_stack([1.0 - p, p])
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_function(X) >= 0.0).astype(np.int64)

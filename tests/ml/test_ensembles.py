@@ -114,7 +114,7 @@ class TestBoostingSpecifics:
                 return 1
             return count_leaves(node.left) + count_leaves(node.right)
 
-        assert all(count_leaves(t.root) <= 4 for t in model._trees)
+        assert all(count_leaves(root) <= 4 for root in model._roots)
 
     def test_decision_function_matches_predict(self):
         Xtr, Xte, ytr, _ = _nonlinear_data(300)

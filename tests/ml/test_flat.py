@@ -112,6 +112,21 @@ class TestStackedEquivalence:
         )
 
 
+@pytest.mark.parametrize("name,factory", BACKENDS[:3])
+class TestInputWidth:
+    """Every boosted learner rejects a matrix of the wrong width on both
+    paths, instead of binning garbage columns or indexing past the end."""
+
+    @pytest.mark.parametrize("width", [5, 10])
+    @pytest.mark.parametrize("method", ["predict_proba", "predict_proba_reference"])
+    def test_wrong_width_raises(self, name, factory, width, method):
+        X, y = _training_data()
+        model = factory().fit(X, y)
+        Q = SEEDS.child("flat.width").normal(size=(6, width))
+        with pytest.raises(TrainingError, match="expected 8 features"):
+            getattr(model, method)(Q)
+
+
 class TestThresholdEdges:
     def test_values_on_learned_thresholds(self):
         """x == threshold must route left on both paths (<= semantics)."""

@@ -82,7 +82,7 @@ class TestLeafWiseTree:
         def leaf_sizes(node, indices):
             if node.is_leaf:
                 return [len(indices)]
-            mask = binned[indices, node.feature] <= node.threshold_bin
+            mask = binned[indices, node.feature] <= node.threshold
             return leaf_sizes(node.left, indices[mask]) + leaf_sizes(
                 node.right, indices[~mask]
             )

@@ -71,8 +71,8 @@ class TestColumnSubsampling:
             n_estimators=12, colsample_bytree=0.25, random_state=0
         ).fit(X, y)
         used = set()
-        for tree in model._trees:
-            stack = [tree.root]
+        for root in model._roots:
+            stack = [root]
             while stack:
                 node = stack.pop()
                 if node is None or node.is_leaf:

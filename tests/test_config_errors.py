@@ -83,9 +83,9 @@ class TestSimulationConfig:
     def test_duration_minutes(self):
         assert SimulationConfig(duration_days=2).duration_minutes == 2 * 24 * 60
 
-    def test_rng_factory_uses_seed(self):
+    def test_seed_bank_uses_seed(self):
         config = SimulationConfig(seed=99)
-        assert config.rng_factory().seed == 99
+        assert config.seed_bank().seed == 99
 
     def test_scaled_copies_extra(self):
         config = SimulationConfig(extra={"note": "x"})
