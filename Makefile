@@ -1,4 +1,4 @@
-.PHONY: install test lint lint-ratchet lint-bench bench classify-bench vt-bench similarity-bench visual-bench table2-bench serve-bench telemetry examples all
+.PHONY: install test lint lint-ratchet lint-bench bench classify-bench vt-bench similarity-bench visual-bench table2-bench evasive-bench serve-bench telemetry examples all
 
 install:
 	pip install -e . || python setup.py develop
@@ -39,6 +39,10 @@ table2-bench:
 	PYTHONPATH=src:benchmarks python -m pytest \
 		benchmarks/bench_table2_model_comparison.py -q -s
 
+evasive-bench:
+	PYTHONPATH=src:benchmarks python -m pytest \
+		benchmarks/bench_sec55_evasive.py -q -s
+
 serve-bench:
 	PYTHONPATH=src python -m repro serve-bench --out BENCH_serve.json
 
@@ -48,11 +52,11 @@ telemetry:
 	python scripts/validate_telemetry.py telemetry-out/telemetry.json
 
 examples:
-	python examples/quickstart.py
-	python examples/evasive_attacks.py
-	python examples/browser_extension.py
-	python examples/feature_importance.py
-	python examples/historical_analysis.py
-	python examples/measurement_campaign.py --days 2 --target 150
+	PYTHONPATH=src python examples/quickstart.py
+	PYTHONPATH=src python examples/evasive_attacks.py
+	PYTHONPATH=src python examples/browser_extension.py
+	PYTHONPATH=src python examples/feature_importance.py
+	PYTHONPATH=src python examples/historical_analysis.py
+	PYTHONPATH=src python examples/measurement_campaign.py --days 2 --target 150
 
 all: install lint test bench

@@ -32,6 +32,7 @@ from ..errors import NotFittedError
 from ..simnet.browser import Browser
 from ..sitegen.brands import BrandCatalog, default_brand_catalog
 from ..webdoc import parse_html
+from ..webdoc.facts import credential_form
 from .visualphishnet import VisualPhishNetDetector
 
 
@@ -104,8 +105,10 @@ class PhishIntentionDetector:
     def _has_credential_interface(markup: str) -> bool:
         if not markup:
             return False
-        document = parse_html(markup)
-        return bool(document.password_inputs()) or len(document.credential_inputs()) >= 2
+        document = parse_html(markup)  # Table 2 times this parse and walk
+        return credential_form(
+            len(document.password_inputs()), len(document.credential_inputs())
+        )
 
     def _credential_interface(self, page: ProcessedPage, now: int) -> bool:
         snapshot = page.snapshot

@@ -20,7 +20,6 @@ from enum import Enum
 from typing import Optional
 
 from ..simnet.browser import Browser, PageSnapshot
-from ..webdoc import parse_html
 
 #: File detections at/above which the paper marks a payload malicious.
 MALWARE_DETECTION_THRESHOLD = 4
@@ -33,8 +32,7 @@ class EvasiveVector(str, Enum):
 
 
 def has_credential_fields(snapshot: PageSnapshot) -> bool:
-    document = snapshot.document
-    return bool(document.password_inputs()) or len(document.credential_inputs()) >= 2
+    return snapshot.facts.has_credential_form
 
 
 def classify_evasive(
@@ -66,18 +64,10 @@ def classify_evasive(
     for hop in chain[1:]:
         if hop.url.host == snapshot.url.host:
             continue
-        document = parse_html(hop.markup)
-        if document.password_inputs() or len(document.credential_inputs()) >= 2:
+        if has_credential_fields(hop):
             return EvasiveVector.TWO_STEP
     # The landing page may point at an already-removed external target;
     # an outbound button with a dead cross-domain target still counts.
-    for anchor in snapshot.document.links():
-        classes = " ".join(anchor.classes).lower()
-        href = anchor.get("href")
-        if ("btn" in classes or "button" in classes) and href.startswith(
-            ("http://", "https://")
-        ):
-            target_host = href.split("//", 1)[1].split("/", 1)[0]
-            if target_host != snapshot.url.host:
-                return EvasiveVector.TWO_STEP
+    if snapshot.facts.link_out_button(snapshot.url.host):
+        return EvasiveVector.TWO_STEP
     return None

@@ -31,6 +31,7 @@ from ..simnet.url import (
     count_suspicious_symbols,
 )
 from ..webdoc import Document, parse_html
+from ..webdoc.facts import PageFacts, credential_form
 
 #: Feature order of the base StackModel (8 URL + 12 HTML).
 BASE_FEATURE_NAMES: Tuple[str, ...] = (
@@ -70,12 +71,6 @@ FWB_FEATURE_NAMES: Tuple[str, ...] = tuple(
 URL_FEATURE_NAMES: Tuple[str, ...] = BASE_FEATURE_NAMES[:8]
 
 _TLD_TOKENS = (".com", ".net", ".org", ".info", ".xyz", ".top", ".live", ".io", ".me", ".app", ".site")
-
-_BANNER_CLASS_HINT = "fwb-banner"
-_BANNER_TEXT_HINTS = (
-    "powered by", "create your own", "create a free website", "made with",
-    "report abuse", "blog at", "free website",
-)
 
 @dataclass
 class PageFeatures:
@@ -135,22 +130,10 @@ class FeatureExtractor:
 
     # -- HTML features -------------------------------------------------------------
 
-    @staticmethod
-    def _banner_elements(document: Document) -> List:
-        def looks_like_banner(element) -> bool:
-            if _BANNER_CLASS_HINT in element.classes or element.id == "fwb-banner":
-                return True
-            if element.tag in ("div", "footer"):
-                text = element.text_content().lower()
-                return any(hint in text for hint in _BANNER_TEXT_HINTS)
-            return False
-
-        return document.root.find_all(predicate=looks_like_banner)
-
-    def _html_features(self, url: URL, document: Document, markup: str) -> Dict[str, float]:
+    def _html_features(self, url: URL, facts: PageFacts, markup: str) -> Dict[str, float]:
         internal = external = empty = 0
-        for anchor in document.links():
-            href = anchor.get("href").strip()
+        for anchor in facts.anchors:
+            href = anchor.href.strip()
             if not href or href in ("#", "javascript:void(0)"):
                 empty += 1
             elif href.startswith(("http://", "https://")):
@@ -164,22 +147,18 @@ class FeatureExtractor:
             else:
                 internal += 1
 
-        forms = document.forms()
-        password_fields = document.password_inputs()
-        credential_inputs = document.credential_inputs()
-        has_login_form = 0.0
-        external_action = 0.0
-        for form in forms:
-            inputs = form.find_all("input")
-            types = {i.get("type").lower() for i in inputs}
-            if "password" in types or len(credential_inputs) >= 2:
-                has_login_form = 1.0
-            action = form.get("action").strip()
-            if action.startswith(("http://", "https://")) and url.host not in action:
-                external_action = 1.0
+        # A form is a login form when it holds a password input, or when the
+        # page as a whole asks for two credentials.
+        has_login_form = any(
+            credential_form(form.has_password, facts.n_credential_inputs)
+            for form in facts.forms
+        )
+        external_action = any(
+            action.startswith(("http://", "https://")) and url.host not in action
+            for action in (form.action.strip() for form in facts.forms)
+        )
 
-        title = document.title.lower()
-        brand_hit = self._brand_token_in(title)
+        brand_hit = self._brand_token_in(facts.title.lower())
         mismatch = 0.0
         if brand_hit is not None:
             _token, legit_domain = brand_hit
@@ -189,26 +168,23 @@ class FeatureExtractor:
             if legit_core not in url.registered_domain:
                 mismatch = 1.0
 
-        banners = self._banner_elements(document)
-        # Either hiding mechanism counts: inline visibility/display styles
-        # (the paper's example) or an injected stylesheet rule.
-        obfuscated = any(document.is_element_hidden(b) for b in banners)
-
         return {
             "n_internal_links": float(internal),
             "n_external_links": float(external),
             "n_empty_links": float(empty),
-            "has_login_form": has_login_form,
-            "n_password_fields": float(len(password_fields)),
-            "n_credential_inputs": float(len(credential_inputs)),
+            "has_login_form": 1.0 if has_login_form else 0.0,
+            "n_password_fields": float(facts.n_password_inputs),
+            "n_credential_inputs": float(facts.n_credential_inputs),
             "html_length": float(len(markup)),
-            "n_iframes": float(len(document.iframes())),
-            "n_forms": float(len(forms)),
-            "n_images": float(len(document.find_all("img"))),
-            "external_form_action": external_action,
+            "n_iframes": float(len(facts.iframe_srcs)),
+            "n_forms": float(len(facts.forms)),
+            "n_images": float(facts.n_images),
+            "external_form_action": 1.0 if external_action else 0.0,
             "title_brand_mismatch": mismatch,
-            "obfuscated_fwb_banner": 1.0 if obfuscated else 0.0,
-            "has_noindex": 1.0 if document.has_noindex() else 0.0,
+            # Either hiding mechanism counts: inline visibility/display
+            # styles (the paper's example) or an injected stylesheet rule.
+            "obfuscated_fwb_banner": 1.0 if facts.fwb_banner_hidden else 0.0,
+            "has_noindex": 1.0 if facts.noindex else 0.0,
         }
 
     # -- public API ------------------------------------------------------------------
@@ -235,18 +211,18 @@ class FeatureExtractor:
         markup; snapshots are the framework's normal path.
         """
         if isinstance(page, PageSnapshot):
-            document, markup = page.document, page.markup
+            facts, markup = page.facts, page.markup
         elif isinstance(page, Document):
-            document, markup = page, page.to_html()
+            facts, markup = PageFacts.of(page), page.to_html()
         elif isinstance(page, str):
-            document, markup = parse_html(page), page
+            facts, markup = PageFacts.of(parse_html(page)), page
         else:
             raise FeatureError(
                 f"unsupported page type: {type(page).__name__}"
             )
 
         values = self._url_features(url)
-        values.update(self._html_features(url, document, markup))
+        values.update(self._html_features(url, facts, markup))
         return PageFeatures(values=values)
 
     def extract_matrix(

@@ -69,7 +69,7 @@ class ReportingModule:
         """Report one detected phishing URL everywhere it should go."""
         brand = None
         if page is not None:
-            title = page.snapshot.document.title
+            title = page.snapshot.facts.title
             brand = title.split(" - ")[0].lower() if title else None
         report = AbuseReport(
             url=str(observation.url),

@@ -35,7 +35,12 @@ class _Binner:
         self.bin_edges = []
         for j in range(X.shape[1]):
             column = X[:, j]
-            quantiles = np.quantile(
+            if np.isnan(column).all():
+                self.bin_edges.append(np.empty(0))
+                continue
+            # NaNs are left out of the cuts; they bin past the last edge,
+            # i.e. right of every split, as ``tree.route`` sends them.
+            quantiles = np.nanquantile(
                 column, np.linspace(0, 1, self.max_bins + 1)[1:-1]
             )
             edges = np.unique(quantiles)

@@ -20,6 +20,7 @@ from typing import List, Optional, Tuple
 
 from ..errors import FetchError, SiteRemovedError, URLError
 from ..webdoc import Document, VisualSignature, parse_html, render_signature
+from ..webdoc.facts import PageFacts
 from ..webdoc.render import region_signatures
 from .hosting import FileAsset, HostedSite
 from .tls import Certificate
@@ -61,6 +62,8 @@ class PageSnapshot:
     downloads: List[FileAsset] = field(default_factory=list)
     #: External link-out targets (the §5.5 two-step vector).
     outbound_links: List[URL] = field(default_factory=list)
+    #: ``document``'s facts, read once here for every reader of the page.
+    facts: PageFacts = field(init=False, repr=False, compare=False)
     #: Lazily rendered visual signature (see the ``signature`` property).
     _signature: Optional[VisualSignature] = field(
         default=None, repr=False, compare=False
@@ -69,6 +72,9 @@ class PageSnapshot:
     _regions: Optional[List[VisualSignature]] = field(
         default=None, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        self.facts = PageFacts.of(self.document)
 
     @property
     def signature(self) -> VisualSignature:
@@ -146,25 +152,14 @@ class Browser:
         url = result.url
         if not result.ok:
             raise SiteRemovedError(f"cannot snapshot {url} (status {result.status})")
-        if result.download is not None:
-            # A bare file URL: wrap it in an empty page carrying the download.
-            document = parse_html("<html><head></head><body></body></html>")
-            return PageSnapshot(
-                url=url,
-                fetched_at=now,
-                markup="",
-                document=document,
-                certificate=result.certificate,
-                downloads=[result.download],
-            )
-
-        document = parse_html(result.markup)
+        # A bare file URL has no markup: an empty page carrying the download.
         snapshot = PageSnapshot(
             url=url,
             fetched_at=now,
             markup=result.markup,
-            document=document,
+            document=parse_html(result.markup),
             certificate=result.certificate,
+            downloads=[result.download] if result.download is not None else [],
         )
         self._resolve_iframes(snapshot, now)
         self._collect_links(snapshot, now)
@@ -186,8 +181,8 @@ class Browser:
             return None
 
     def _resolve_iframes(self, snapshot: PageSnapshot, now: int) -> None:
-        for iframe in snapshot.document.iframes():
-            src = self._absolute(snapshot.url, iframe.get("src"))
+        for href in snapshot.facts.iframe_srcs:
+            src = self._absolute(snapshot.url, href)
             if src is None:
                 continue
             framed = self.fetch(src, now)
@@ -196,14 +191,14 @@ class Browser:
             )
 
     def _collect_links(self, snapshot: PageSnapshot, now: int) -> None:
-        for anchor in snapshot.document.links():
-            target = self._absolute(snapshot.url, anchor.get("href"))
+        for anchor in snapshot.facts.anchors:
+            target = self._absolute(snapshot.url, anchor.href)
             if target is None:
                 continue
             if target.host != snapshot.url.host:
                 snapshot.outbound_links.append(target)
-        for anchor in snapshot.document.download_links():
-            target = self._absolute(snapshot.url, anchor.get("href"))
+        for href in snapshot.facts.download_hrefs:
+            target = self._absolute(snapshot.url, href)
             if target is None:
                 continue
             fetched = self.fetch(target, now)
@@ -236,14 +231,14 @@ class Browser:
 
     def _primary_action_target(self, snapshot: PageSnapshot) -> Optional[URL]:
         """The URL a user lands on after clicking the page's main button."""
-        # Prefer explicit button-like anchors, then any outbound link.
-        for anchor in snapshot.document.links():
-            classes = " ".join(anchor.classes).lower()
-            text = anchor.text_content().lower()
-            if "button" in classes or "btn" in classes or any(
+        # Prefer explicit button-like anchors, then any outbound link. Unlike
+        # link_out_button, text-only buttons and relative hrefs count here.
+        for anchor in snapshot.facts.anchors:
+            text = anchor.text.lower()
+            if anchor.is_button or any(
                 word in text for word in ("continue", "login", "sign in", "verify", "claim")
             ):
-                target = self._absolute(snapshot.url, anchor.get("href"))
+                target = self._absolute(snapshot.url, anchor.href)
                 if target is not None and target.host != snapshot.url.host:
                     return target
         if snapshot.outbound_links:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from ..webdoc import parse_html
+from ..webdoc.facts import PageFacts
 from .url import URL
 
 
@@ -51,15 +52,15 @@ class SearchIndex:
         Refuses pages with a ``noindex`` directive and pages that no other
         site links to (the common state of a phishing subdomain).
         """
-        document = parse_html(markup)
-        if document.has_noindex():
+        facts = PageFacts.of(parse_html(markup))
+        if facts.noindex:
             return False
         if self.incoming_links(url) == 0:
             return False
         key = str(url.root())
         if key not in self._entries:
             self._entries[key] = IndexEntry(
-                url=url.root(), indexed_at=now, title=document.title
+                url=url.root(), indexed_at=now, title=facts.title
             )
         return True
 

@@ -1,10 +1,10 @@
 """DOM node model.
 
-Feature extraction (paper §4.2) needs structural queries over pages: count
-links and classify them internal/external/empty, find login forms and
-password inputs, detect ``<noindex>`` meta tags, and spot FWB banners hidden
-with ``visibility:hidden``. The classes here provide exactly those traversal
-and inspection primitives over a parsed document tree.
+Feature extraction (paper §4.2) needs structural facts about pages: links,
+login forms and password inputs, ``<noindex>`` meta tags, FWB banners hidden
+with ``visibility:hidden``. The classes here provide the tree and its
+traversal and inspection primitives; ``facts.py`` reads the facts from it in
+one pass.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class Element:
         return result
 
     def is_hidden(self) -> bool:
-        """Inline-style hidden: ``visibility:hidden`` or ``display:none``.
+        """Hidden inline: ``visibility:hidden``, ``display:none`` or ``hidden``.
 
         The paper highlights phishers hiding FWB banners by injecting a
         ``visibility:hidden`` declaration into the banner's ``<div>``.
@@ -83,7 +83,7 @@ class Element:
         style = self.style_declarations()
         if style.get("visibility") == "hidden" or style.get("display") == "none":
             return True
-        return self.get("hidden") != "" and self.has_attr("hidden")
+        return self.has_attr("hidden")
 
     # -- traversal ------------------------------------------------------------
 
@@ -157,16 +157,10 @@ class Document:
     def find(self, tag: Optional[str] = None, predicate=None) -> Optional[Element]:
         return self.root.find(tag, predicate)
 
-    def text_content(self) -> str:
-        return self.root.text_content()
-
     def to_html(self) -> str:
         return "<!DOCTYPE html>" + self.root.to_html()
 
     # -- page-level queries used across the library ----------------------------
-
-    def links(self) -> List[Element]:
-        return self.root.find_all("a")
 
     def forms(self) -> List[Element]:
         return self.root.find_all("form")
@@ -174,97 +168,28 @@ class Document:
     def inputs(self) -> List[Element]:
         return self.root.find_all("input")
 
-    def iframes(self) -> List[Element]:
-        return self.root.find_all("iframe")
-
-    def meta_tags(self) -> List[Element]:
-        return self.root.find_all("meta")
-
-    def stylesheet_hidden_selectors(self) -> List[str]:
-        """Class/id selectors hidden by embedded ``<style>`` rules.
-
-        Phishers hide FWB banners not only with inline styles but also by
-        injecting stylesheet rules (``.fwb-banner{display:none}``); this
-        scans every ``<style>`` block for display/visibility suppression
-        and returns the affected simple selectors (without ``.``/``#``).
-        """
-        import re
-
-        hidden: List[str] = []
-        rule_pattern = re.compile(
-            r"([.#][\w-]+)\s*\{[^}]*(?:display\s*:\s*none|"
-            r"visibility\s*:\s*hidden)[^}]*\}",
-            re.IGNORECASE,
-        )
-        for style in self.root.find_all("style"):
-            css = style.text_content()
-            for match in rule_pattern.finditer(css):
-                hidden.append(match.group(1)[1:])
-        return hidden
-
-    def is_element_hidden(self, element: Element) -> bool:
-        """Hidden by inline style *or* by an embedded stylesheet rule."""
-        if element.is_hidden():
-            return True
-        hidden_selectors = self.stylesheet_hidden_selectors()
-        if not hidden_selectors:
-            return False
-        return bool(
-            set(element.classes) & set(hidden_selectors)
-            or (element.id and element.id in hidden_selectors)
-        )
-
-    def has_hidden_elements(self) -> bool:
-        """Does any element get suppressed, by either hiding mechanism?"""
-        hidden_selectors = set(self.stylesheet_hidden_selectors())
-        for element in self.root.iter():
-            if element.is_hidden():
-                return True
-            if hidden_selectors and (
-                set(element.classes) & hidden_selectors
-                or (element.id and element.id in hidden_selectors)
-            ):
-                return True
-        return False
-
-    def has_noindex(self) -> bool:
-        """Is search-engine indexing blocked via a robots noindex meta tag?"""
-        for meta in self.meta_tags():
-            name = meta.get("name").lower()
-            content = meta.get("content").lower()
-            if name in ("robots", "googlebot") and "noindex" in content:
-                return True
-        # Some generators emit a literal (non-standard) <noindex> element.
-        return self.root.find("noindex") is not None
-
     def password_inputs(self) -> List[Element]:
-        return self.root.find_all(
-            "input", predicate=lambda e: e.get("type").lower() == "password"
-        )
+        return self.root.find_all("input", predicate=is_password_input)
 
     def credential_inputs(self) -> List[Element]:
-        """Inputs asking for sensitive data (§3: email, password, SSN...)."""
-        sensitive_types = {"password", "email", "tel"}
-        sensitive_names = (
-            "pass", "email", "user", "login", "ssn", "card", "cvv",
-            "account", "pin", "phone", "address", "social",
-        )
+        return self.root.find_all("input", predicate=is_credential_input)
 
-        def matches(element: Element) -> bool:
-            if element.get("type").lower() in sensitive_types:
-                return True
-            name = (element.get("name") + " " + element.get("placeholder")).lower()
-            return any(token in name for token in sensitive_names)
 
-        return self.root.find_all("input", predicate=matches)
+# The per-element rules, shared with the page-facts pass (``facts.py``).
 
-    def download_links(self) -> List[Element]:
-        """Anchors that trigger file downloads (the §5.5 drive-by vector)."""
-        extensions = (".exe", ".zip", ".apk", ".scr", ".iso", ".docm", ".xlsm", ".msi")
+def is_password_input(element: Element) -> bool:
+    return element.get("type").lower() == "password"
 
-        def matches(element: Element) -> bool:
-            if element.has_attr("download"):
-                return True
-            return element.get("href").lower().endswith(extensions)
 
-        return self.root.find_all("a", predicate=matches)
+def is_credential_input(element: Element) -> bool:
+    """An input asking for sensitive data (§3: email, password, SSN...)."""
+    if element.get("type").lower() in ("password", "email", "tel"):
+        return True
+    name = (element.get("name") + " " + element.get("placeholder")).lower()
+    return any(token in name for token in _CREDENTIAL_NAME_TOKENS)
+
+
+_CREDENTIAL_NAME_TOKENS = (
+    "pass", "email", "user", "login", "ssn", "card", "cvv",
+    "account", "pin", "phone", "address", "social",
+)

@@ -7,6 +7,25 @@ from repro.ml.lgbm import _Binner, _LGBMTree, LightGBMClassifier
 
 
 class TestBinner:
+    def test_nan_does_not_collapse_the_column(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(200, 3))
+        y = (X[:, 0] > 0).astype(int)
+        X[17, 0] = np.nan
+        binner = _Binner(max_bins=16).fit(X)
+        assert len(binner.bin_edges[0]) > 1 and not np.isnan(binner.bin_edges[0]).any()
+        # NaN bins past every edge: right of any split, as tree.route sends it.
+        assert binner.transform(X)[17, 0] == len(binner.bin_edges[0])
+        model = LightGBMClassifier(n_estimators=10, random_state=0).fit(X, y)
+        assert (model.predict(X) == y).mean() >= 0.99
+
+    def test_all_nan_column_has_no_edges(self):
+        X = np.full((40, 1), np.nan)
+        binner = _Binner(max_bins=8).fit(X)
+        assert binner.bin_edges[0].size == 0
+        assert binner.threshold(0, 0) == np.inf
+        assert np.unique(binner.transform(X)).tolist() == [0]
+
     def test_transform_monotone_in_feature(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(500, 1))

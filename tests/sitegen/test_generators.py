@@ -14,6 +14,7 @@ from repro.sitegen.phishing import PhishingMixture
 from repro.simnet import Web
 from repro.simnet.fwb import fwb_by_name
 from repro.webdoc import parse_html
+from repro.webdoc.facts import PageFacts
 
 
 @pytest.fixture()
@@ -40,7 +41,7 @@ class TestTemplates:
     def test_noindex_meta(self, templates, rng):
         service = fwb_by_name("wix")
         spec = PageSpec(title="T", blocks=[], noindex=True)
-        assert parse_html(templates.render(service, spec, rng)).has_noindex()
+        assert PageFacts.of(parse_html(templates.render(service, spec, rng))).noindex
 
     def test_bare_render_for_github(self, templates, rng):
         service = fwb_by_name("github_io")
@@ -118,7 +119,7 @@ class TestPhishingGenerator:
         site = gen.create_site(provider, 0, rng, spec=spec)
         doc = parse_html(site.pages["/"])
         assert not doc.password_inputs()
-        hrefs = [a.get("href") for a in doc.links()]
+        hrefs = [a.get("href") for a in doc.find_all("a")]
         assert "https://evil.example.xyz/login" in hrefs
 
     def test_iframe_variant_embeds_external(self, web, rng):
@@ -130,7 +131,7 @@ class TestPhishingGenerator:
         )
         site = gen.create_site(provider, 0, rng, spec=spec)
         doc = parse_html(site.pages["/"])
-        assert doc.iframes()[0].get("src") == "https://evil.example.xyz/frame"
+        assert PageFacts.of(doc).iframe_srcs[0] == "https://evil.example.xyz/frame"
 
     def test_driveby_attaches_malicious_file(self, web, rng):
         gen = PhishingSiteGenerator()
@@ -154,8 +155,7 @@ class TestPhishingGenerator:
         provider = web.fwb_providers["weebly"]
         site = gen.create_site(provider, 0, rng)
         assert site.metadata["noindex"] is True
-        doc = parse_html(site.pages["/"])
-        assert doc.has_noindex()
+        assert PageFacts.of(parse_html(site.pages["/"])).noindex
 
     def test_cloaked_pages_use_benign_names(self, web, rng):
         gen = PhishingSiteGenerator(mixture=PhishingMixture(cloak_rate=1.0))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ParseError
 from repro.webdoc import Element, TextNode, parse_html
+from repro.webdoc.facts import PageFacts
 
 
 class TestParser:
@@ -46,7 +47,7 @@ class TestParser:
 
     def test_nonstandard_noindex_element(self):
         doc = parse_html("<noindex></noindex><body>x</body>")
-        assert doc.has_noindex()
+        assert PageFacts.of(doc).noindex
 
     def test_rejects_non_string(self):
         with pytest.raises(ParseError):
@@ -61,7 +62,7 @@ class TestParser:
         doc = parse_html(markup)
         again = parse_html(doc.to_html())
         assert again.title == "R"
-        assert again.links()[0].get("href") == "/x"
+        assert again.find_all("a")[0].get("href") == "/x"
 
 
 class TestQueries:
@@ -81,7 +82,7 @@ class TestQueries:
     """
 
     def test_noindex_detected(self):
-        assert parse_html(self.MARKUP).has_noindex()
+        assert PageFacts.of(parse_html(self.MARKUP)).noindex
 
     def test_password_inputs(self):
         assert len(parse_html(self.MARKUP).password_inputs()) == 1
@@ -92,7 +93,8 @@ class TestQueries:
         assert names == {"email", "pass", "ssn_number"}
 
     def test_download_links(self):
-        assert len(parse_html(self.MARKUP).download_links()) == 1
+        facts = PageFacts.of(parse_html(self.MARKUP))
+        assert facts.download_hrefs == ["https://evil.example.com/payload.exe"]
 
     def test_hidden_element_detection(self):
         doc = parse_html(self.MARKUP)
@@ -108,7 +110,9 @@ class TestQueries:
         assert not doc.find("div").is_hidden()
 
     def test_iframes(self):
-        assert len(parse_html(self.MARKUP).iframes()) == 1
+        assert PageFacts.of(parse_html(self.MARKUP)).iframe_srcs == [
+            "https://other.example.net/"
+        ]
 
     def test_text_content(self):
         doc = parse_html("<body><p>a <b>b</b> c</p></body>")

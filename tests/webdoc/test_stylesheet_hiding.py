@@ -8,6 +8,7 @@ from repro.simnet.fwb import fwb_by_name
 from repro.simnet.url import parse_url
 from repro.sitegen.templates import ContentBlock, PageSpec, TemplateLibrary
 from repro.webdoc import parse_html
+from repro.webdoc.facts import PageFacts, stylesheet_hidden_selectors
 
 SHEET_HIDDEN = """
 <html><head><style>
@@ -23,25 +24,48 @@ SHEET_HIDDEN = """
 
 class TestStylesheetHiding:
     def test_hidden_selectors_extracted(self):
-        document = parse_html(SHEET_HIDDEN)
-        assert set(document.stylesheet_hidden_selectors()) == {"fwb-banner", "secret"}
+        css = parse_html(SHEET_HIDDEN).find("style").text_content()
+        assert set(stylesheet_hidden_selectors(css)) == {"fwb-banner", "secret"}
 
     def test_is_element_hidden_by_class_and_id(self):
-        document = parse_html(SHEET_HIDDEN)
-        banner = document.find(predicate=lambda e: "fwb-banner" in e.classes)
-        secret = document.find(predicate=lambda e: e.id == "secret")
-        visible = document.find(predicate=lambda e: e.id == "visible")
-        assert document.is_element_hidden(banner)
-        assert document.is_element_hidden(secret)
-        assert not document.is_element_hidden(visible)
+        by_class = PageFacts.of(parse_html(SHEET_HIDDEN))
+        assert by_class.fwb_banner_hidden and by_class.any_hidden
+        by_id = PageFacts.of(parse_html(
+            "<style>#fwb-banner{display:none}</style>"
+            '<body><div id="fwb-banner">Powered by Weebly</div></body>'
+        ))
+        assert by_id.fwb_banner_hidden
+        other = PageFacts.of(parse_html(
+            "<style>#secret{visibility:hidden}</style>"
+            '<body><p id="secret">x</p><div class="fwb-banner">Made with Wix</div></body>'
+        ))
+        assert other.any_hidden and not other.fwb_banner_hidden
+        unmatched = PageFacts.of(parse_html(
+            '<style>#gone{display:none}</style><body><p id="visible">x</p></body>'
+        ))
+        assert not unmatched.any_hidden
 
     def test_has_hidden_elements(self):
-        assert parse_html(SHEET_HIDDEN).has_hidden_elements()
-        assert not parse_html("<body><p>plain</p></body>").has_hidden_elements()
+        assert PageFacts.of(parse_html(SHEET_HIDDEN)).any_hidden
+        assert not PageFacts.of(parse_html("<body><p>plain</p></body>")).any_hidden
 
     def test_inline_hiding_still_detected(self):
-        markup = '<body><div style="display:none">x</div></body>'
-        assert parse_html(markup).has_hidden_elements()
+        for markup in (
+            '<body><div style="display:none">x</div></body>',
+            '<body><div style="visibility: hidden">x</div></body>',
+            '<body><div hidden="hidden">x</div></body>',
+            "<body><div hidden>x</div></body>",
+        ):
+            document = parse_html(markup)
+            assert document.find("div").is_hidden(), markup
+            assert PageFacts.of(document).any_hidden, markup
+
+    def test_stylesheet_after_the_element_still_hides_it(self):
+        facts = PageFacts.of(parse_html(
+            '<body><div class="fwb-banner">Powered by Weebly</div>'
+            "<style>.fwb-banner{display:none}</style></body>"
+        ))
+        assert facts.fwb_banner_hidden and facts.any_hidden
 
 
 class TestGeneratorIntegration:
